@@ -1,6 +1,5 @@
-"""Incidence systems, flag complexes, chamber systems, thin apartment
-models, W-distance, desk-scale Bruhat verification, and coresidue
-reconstruction.
+"""Incidence systems, flags, chamber systems, thin apartment models,
+W-distance, Lie apartments, and coresidue reconstruction.
 
 Chambers of combinatorial models are plain tuples; chambers of flag
 complexes are frozensets of element ids; chambers of Lie apartments
@@ -19,12 +18,10 @@ from .ratmat import Subspace
 
 __all__ = [
     "IncidenceSystem",
-    "PredicateIncidence",
     "ChamberSystem",
     "ThinChamberSystem",
     "WDistance",
     "flags",
-    "flag_complex",
     "chambers_from_incidence",
     "apartment_model_A",
     "apartment_model_B",
@@ -32,9 +29,7 @@ __all__ = [
     "LieApartment",
     "lie_apartment",
     "delta_parabolic",
-    "verify_building",
     "coresidues",
-    "is_flag_regular",
     "is_residually_connected",
     "ec_reconstruction_isomorphic",
     "labelled_isomorphism",
@@ -80,29 +75,6 @@ class IncidenceSystem:
         return out
 
 
-class PredicateIncidence:
-    """Intensional incidence system for thick geometries: membership
-    and incidence are predicates, never an enumeration.  type_fn
-    returns the element's type or None for non-elements."""
-
-    def __init__(self, type_fn, incident_fn):
-        self.type_fn = type_fn
-        self.incident_fn = incident_fn
-
-    def is_element(self, e):
-        return self.type_fn(e) is not None
-
-    def incident(self, u, v):
-        tu, tv = self.type_fn(u), self.type_fn(v)
-        if tu is None or tv is None:
-            raise DomainError("not elements")
-        if u == v:
-            return False
-        if tu == tv:
-            return False
-        return self.incident_fn(u, v)
-
-
 def flags(gamma: IncidenceSystem, J):
     """J-flags: pairwise-incident sets with exactly one element per
     type in J."""
@@ -120,17 +92,6 @@ def flags(gamma: IncidenceSystem, J):
 
 def full_flags(gamma: IncidenceSystem):
     return flags(gamma, sorted(gamma.type_set(), key=repr))
-
-
-def flag_complex(gamma: IncidenceSystem):
-    """All flag sets indexed by type subset; face maps are restriction
-    (a J'-face of a J-flag is its subset of types J')."""
-    ts = sorted(gamma.type_set(), key=repr)
-    out = {}
-    for r in range(len(ts) + 1):
-        for J in combinations(ts, r):
-            out[frozenset(J)] = flags(gamma, J)
-    return out
 
 
 class ChamberSystem:
@@ -546,58 +507,6 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
     return tuple(base_order.index(labels[order[pos]]) for pos in w)
 
 
-def verify_building(apartments, base_ss=None, pair_samples=None):
-    """Desk-scale Bruhat checks on a family of Lie apartments.
-
-    Checks: each apartment is thin, connected, with simply transitive
-    structure group; the gallery distance between chambers shared by
-    two apartments agrees; for sampled cross-apartment pairs a common
-    apartment exists (via the common-Levi route) and the resulting
-    word agrees with delta_parabolic on both orders (inverse law).
-    Returns a report dict with a list of violations.
-    """
-    violations = []
-    deltas = []
-    for k, apt in enumerate(apartments):
-        try:
-            wd = w_distance(apt.thin)
-            deltas.append(wd)
-        except DomainError as e:
-            violations.append(("apartment", k, str(e)))
-            deltas.append(None)
-    # overlap agreement: chambers shared between apartments via their
-    # parabolic subspaces
-    for k1 in range(len(apartments)):
-        for k2 in range(k1 + 1, len(apartments)):
-            a1, a2 = apartments[k1], apartments[k2]
-            shared = [
-                (c1, c2)
-                for c1 in a1.chambers
-                for c2 in a2.chambers
-                if a1.spaces[c1] == a2.spaces[c2]
-            ]
-            for (b1, b2), (c1, c2) in combinations(shared, 2):
-                d1 = delta_parabolic(a1.parabolic(b1), a1.parabolic(c1),
-                                     base_ss)
-                d2 = delta_parabolic(a2.parabolic(b2), a2.parabolic(c2),
-                                     base_ss)
-                if d1 != d2:
-                    violations.append(
-                        ("overlap-delta", (k1, k2), (d1, d2))
-                    )
-    if pair_samples:
-        for pb, pc in pair_samples:
-            try:
-                d = delta_parabolic(pb, pc, base_ss)
-                dr = delta_parabolic(pc, pb, base_ss)
-            except (DomainError, InternalCheckError) as e:
-                violations.append(("pair", str(e)))
-                continue
-            if len(d) != len(dr):
-                violations.append(("inverse-length", d, dr))
-    return {"violations": violations, "ok": not violations}
-
-
 # ---------------------------------------------------------------------------
 # coresidues and reconstruction
 
@@ -635,12 +544,6 @@ def coresidues(delta: ChamberSystem) -> IncidenceSystem:
         if types[u] != types[v] and u[1] & v[1]:
             edges.append((u, v))
     return IncidenceSystem(types, edges)
-
-
-def is_flag_regular(gamma: IncidenceSystem) -> bool:
-    ff = full_flags(gamma)
-    covered = set().union(*ff) if ff else set()
-    return covered == set(gamma.elements())
 
 
 def is_residually_connected(gamma: IncidenceSystem) -> bool:

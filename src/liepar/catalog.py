@@ -110,14 +110,20 @@ def so(p: int, q: int) -> LieAlgebra:
         for j in range(i + 1, sz):
             mats.append(s * (_eij(sz, i, j) - _eij(sz, j, i)))
             labels.append("X[%d,%d]" % (i + 1, j + 1))
+    _check_form_skew(mats, s)
     g = LieAlgebra.from_matrices(mats, labels=labels)
     g.kind = ("so", p, q)
     g.defining_dim = sz
     g.defining_form = s
-    # skew-with-respect-to-the-form sanity on the basis
-    for m in mats:
-        assert (m.transpose() * s + s * m).is_zero()
     return g
+
+
+def _check_form_skew(mats, s: Matrix):
+    """m^T s + s m = 0 for every basis matrix m."""
+    for k, m in enumerate(mats):
+        if not (m.transpose() * s + s * m).is_zero():
+            raise InternalCheckError("so(p,q) basis matrix %d not skew for"
+                                     " the form" % k)
 
 
 def element_from_matrix(g: LieAlgebra, m: Matrix):

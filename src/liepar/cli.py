@@ -15,8 +15,6 @@ from fractions import Fraction as Q
 
 from .errors import DomainError, InternalCheckError
 
-ALGEBRAS = {}
-
 
 def _parse_algebra(spec: str):
     """'gl:3', 'sl:2', 'so:3,2' -> catalog algebra."""

@@ -19,6 +19,8 @@ from .ratmat import (
     Matrix,
     Q,
     Subspace,
+    _frac_row,
+    _rref_rows,
     kernel,
     vec_add,
     vec_is_zero,
@@ -58,6 +60,13 @@ def _poly_divmod(a, b):
     return _poly_trim(q), a
 
 
+def _poly_exact_div(a, b, check):
+    q, r = _poly_divmod(a, b)
+    if r:
+        raise InternalCheckError(check)
+    return q
+
+
 def _poly_gcd(a, b):
     a, b = list(a), list(b)
     while b:
@@ -71,9 +80,8 @@ def _poly_lcm(a, b):
         return list(b)
     if not b:
         return list(a)
-    g = _poly_gcd(a, b)
-    q, r = _poly_divmod(a, g)
-    assert not r
+    q = _poly_exact_div(a, _poly_gcd(a, b), "polynomial lcm: gcd(a, b)"
+                        " does not divide a")
     prod = [Q(0)] * (len(q) + len(b) - 1)
     for i, c in enumerate(q):
         if c:
@@ -90,8 +98,8 @@ def poly_squarefree_part(p):
     g = _poly_gcd(p, _poly_deriv(p))
     if len(g) <= 1:
         return _poly_monic(list(p))
-    q, r = _poly_divmod(p, g)
-    assert not r
+    q = _poly_exact_div(p, g, "squarefree part: gcd(p, p') does not"
+                        " divide p")
     return _poly_monic(q)
 
 
@@ -121,8 +129,8 @@ def poly_rational_roots(p):
         while ip and ip[0] == 0:
             # factor of t
             roots.append(Q(0))
-            p, r = _poly_divmod(p, [Q(0), Q(1)])
-            assert not r
+            p = _poly_exact_div(p, [Q(0), Q(1)], "rational roots: t does"
+                                " not divide p")
             ip = ip[1:]
         if len(p) <= 1:
             break
@@ -142,8 +150,8 @@ def poly_rational_roots(p):
         if found is None:
             return roots, len(p) - 1
         roots.append(found)
-        p, r = _poly_divmod(p, [-found, Q(1)])
-        assert not r
+        p = _poly_exact_div(p, [-found, Q(1)], "rational roots: t - %s"
+                            " does not divide p" % found)
     return roots, 0
 
 
@@ -218,8 +226,6 @@ def _matrix_inverse(m: Matrix) -> Matrix:
     n = m.rows
     aug = [list(r) + [Q(1) if i == j else Q(0) for j in range(n)]
            for i, r in enumerate(m.data)]
-    from .ratmat import _rref_rows
-
     red = _rref_rows(aug)
     if len(red) < n or any(red[i][i] != 1 for i in range(n)):
         raise DomainError("matrix not invertible")
@@ -270,7 +276,7 @@ class LieAlgebra:
                  validate=True):
         self.dim = len(structure)
         self.structure = tuple(
-            tuple(tuple(Q(x) for x in vec) for vec in row) for row in structure
+            tuple(_frac_row(vec) for vec in row) for row in structure
         )
         for row in self.structure:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
@@ -283,11 +289,11 @@ class LieAlgebra:
             raise DomainError("realization size mismatch")
         self.trace_form = None
         if self.realization is not None:
-            gram = Matrix(
-                [[(ri * rj).trace() for rj in self.realization]
-                 for ri in self.realization]
-            )
-            self.trace_form = BilinearForm(gram)
+            # tr(r_i r_j) = Σ_ab r_i[a][b] r_j[b][a]: one product of the
+            # flattened matrices with the flattened transposes
+            flat = Matrix([_flat(r) for r in self.realization])
+            flat_t = Matrix([_flat(r.transpose()) for r in self.realization])
+            self.trace_form = BilinearForm(flat * flat_t.transpose())
         self.form = form if form is not None else self.trace_form
         self._derived = None
         self._center = None
@@ -303,36 +309,28 @@ class LieAlgebra:
         mats = list(mats)
         n = len(mats)
         sz = mats[0].rows
-        flat = Subspace.from_vectors(
-            sz * sz, [[m[i, j] for i in range(sz) for j in range(sz)]
-                      for m in mats]
-        )
-        if flat.dim != n:
+        # one elimination of [flat(mats) | I]: the left block is the
+        # canonical basis of the span, the right block writes each of
+        # its rows in terms of the mats
+        aug = [list(_flat(m)) + list(e)
+               for m, e in zip(mats, Matrix.identity(n).data)]
+        red = _rref_rows(aug)
+        if any(not any(r[:sz * sz]) for r in red):
             raise DomainError("matrices not linearly independent")
+        flat = Subspace(sz * sz, Matrix([r[:sz * sz] for r in red]))
+        to_mats = Matrix([r[sz * sz:] for r in red]).transpose()
         coords_cache = {}
 
         def coords(m):
-            key = m
-            if key not in coords_cache:
-                v = [m[i, j] for i in range(sz) for j in range(sz)]
-                cs = _solve_coords(mats, v, sz)
+            if m not in coords_cache:
+                cs = flat.coordinates_of(_flat(m))
                 if cs is None:
                     raise DomainError("family not closed under commutator")
-                coords_cache[key] = cs
-            return coords_cache[key]
+                coords_cache[m] = to_mats.mulvec(cs)
+            return coords_cache[m]
 
-        structure = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if j < i:
-                    row.append(vec_scale(-1, structure[j][i]))
-                elif j == i:
-                    row.append(zero_vec(n))
-                else:
-                    comm = mats[i] * mats[j] - mats[j] * mats[i]
-                    row.append(coords(comm))
-            structure.append(tuple(row))
+        structure = _antisymmetric_fill(
+            n, lambda i, j: coords(mats[i] * mats[j] - mats[j] * mats[i]))
         return LieAlgebra(structure, labels=labels, realization=mats)
 
     def _validate(self):
@@ -340,34 +338,40 @@ class LieAlgebra:
         n = self.dim
         for i in range(n):
             for j in range(i, n):
-                if c[i][j] != vec_scale(-1, c[j][i]):
-                    raise DomainError(
-                        "antisymmetry fails at (%d,%d)" % (i, j)
-                    )
+                for a, b in zip(c[i][j], c[j][i]):
+                    if (a or b) and a != -b:
+                        raise DomainError(
+                            "antisymmetry fails at (%d,%d)" % (i, j)
+                        )
+        sp = self._sparse
         for i in range(n):
             for j in range(i + 1, n):
-                cij = c[i][j]
                 for k in range(j + 1, n):
-                    # [b_i,[b_j,b_k]] = [[b_i,b_j],b_k] + [b_j,[b_i,b_k]]
-                    lhs = self._bracket_basis_vec(i, c[j][k])
-                    rhs = vec_add(
-                        vec_scale(-1, self._bracket_basis_vec(k, cij)),
-                        self._bracket_basis_vec(j, c[i][k]),
-                    )
-                    if lhs != rhs:
+                    # [b_i,[b_j,b_k]] = [[b_i,b_j],b_k] + [b_j,[b_i,b_k]];
+                    # with antisymmetry (checked above) this is the cyclic
+                    # sum [b_i,c_jk] + [b_j,c_ki] + [b_k,c_ij] = 0
+                    acc = {}
+                    for x, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+                        for m, y in sp.get(pair, ()):
+                            for l, z in sp.get((x, m), ()):
+                                acc[l] = acc[l] + y * z if l in acc else y * z
+                    if any(acc.values()):
                         raise DomainError(
                             "Jacobi fails at (%d,%d,%d)" % (i, j, k)
                         )
         if self.realization is not None:
+            flats = [[(e, x) for e, x in enumerate(_flat(r)) if x]
+                     for r in self.realization]
             for i in range(n):
+                ri = self.realization[i]
                 for j in range(i + 1, n):
-                    comm = (self.realization[i] * self.realization[j]
-                            - self.realization[j] * self.realization[i])
-                    want = Matrix.zero(comm.rows, comm.cols)
-                    for k, x in enumerate(c[i][j]):
-                        if x:
-                            want = want + self.realization[k].scale(x)
-                    if comm != want:
+                    rj = self.realization[j]
+                    comm = _flat(ri * rj - rj * ri)
+                    want = {}
+                    for k, x in sp.get((i, j), ()):
+                        for e, y in flats[k]:
+                            want[e] = want[e] + x * y if e in want else x * y
+                    if any(v != want.get(e, 0) for e, v in enumerate(comm)):
                         raise DomainError(
                             "realization disagrees with structure at"
                             " (%d,%d)" % (i, j)
@@ -562,10 +566,6 @@ class LieAlgebra:
         mp = minimal_polynomial(self.ad(x))
         return all(c == 0 for c in mp[:-1])
 
-    def is_ad_nilpotent(self, x) -> bool:
-        mp = minimal_polynomial(self.ad(x))
-        return all(c == 0 for c in mp[:-1])
-
     def is_ad_semisimple(self, x) -> bool:
         mp = minimal_polynomial(self.ad(x))
         g = _poly_gcd(mp, _poly_deriv(mp))
@@ -646,20 +646,16 @@ class LieAlgebra:
             raise DomainError("not a subalgebra")
         basis = space.vectors()
         d = len(basis)
-        structure = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                if j < i:
-                    row.append(vec_scale(-1, structure[j][i]))
-                elif j == i:
-                    row.append(zero_vec(d))
-                else:
-                    br = self.bracket(basis[i], basis[j])
-                    cs = space.coordinates_of(br)
-                    assert cs is not None
-                    row.append(cs)
-            structure.append(tuple(row))
+
+        def sub_coords(i, j):
+            cs = space.coordinates_of(self.bracket(basis[i], basis[j]))
+            if cs is None:
+                raise InternalCheckError(
+                    "restrict: bracket of basis vectors %d, %d leaves the"
+                    " subalgebra" % (i, j))
+            return cs
+
+        structure = _antisymmetric_fill(d, sub_coords)
         form = None
         if self.form is not None:
             form = self.form.restrict(basis)
@@ -700,17 +696,8 @@ class LieAlgebra:
             return tuple(w[k] for k in comp)
 
         section = [_unit(self.dim, k) for k in comp]
-        structure = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                if j < i:
-                    row.append(vec_scale(-1, structure[j][i]))
-                elif j == i:
-                    row.append(zero_vec(d))
-                else:
-                    row.append(proj(self.bracket(section[i], section[j])))
-            structure.append(tuple(row))
+        structure = _antisymmetric_fill(
+            d, lambda i, j: proj(self.bracket(section[i], section[j])))
         quo = LieAlgebra(structure, validate=True)
         return quo, proj, section
 
@@ -719,11 +706,23 @@ def _unit(n, i):
     return tuple(Q(1) if k == i else Q(0) for k in range(n))
 
 
-def _solve_coords(mats, flat_target, sz):
-    rows = [[m[i, j] for m in mats] for i in range(sz) for j in range(sz)]
-    from .ratmat import solve
+def _flat(m: Matrix) -> tuple:
+    """Entries of m, row after row."""
+    return tuple(x for r in m.data for x in r)
 
-    res = solve(Matrix(rows), flat_target)
-    if res is None:
-        return None
-    return res[0]
+
+def _antisymmetric_fill(n, upper):
+    """Structure tensor with c[i][j] = upper(i, j) for i < j (called in
+    row order), zero diagonal and c[j][i] = -c[i][j]."""
+    structure = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if j < i:
+                row.append(tuple(-x if x else x for x in structure[j][i]))
+            elif j == i:
+                row.append(zero_vec(n))
+            else:
+                row.append(upper(i, j))
+        structure.append(tuple(row))
+    return structure

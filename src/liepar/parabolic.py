@@ -191,12 +191,6 @@ class ParabolicData:
             self._levi = LeviQuotient(self)
         return self._levi
 
-    def is_minimal_hint(self) -> bool:
-        # a parabolic is minimal iff its Levi quotient has no proper
-        # parabolics, which we do not test here; callers that know
-        # minimality pass it explicitly where it matters
-        raise NotImplementedError
-
 
 def make_parabolic(g: LieAlgebra, space: Subspace,
                    expect=True) -> ParabolicData:

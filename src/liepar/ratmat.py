@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
+_ZERO = Q(0)  # shared by the zero entries the kernel writes
 
 __all__ = [
     "Q",
@@ -72,7 +73,7 @@ class Matrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
         m = Matrix.__new__(Matrix)
-        m.data = tuple((Q(0),) * cols for _ in range(rows))
+        m.data = tuple((_ZERO,) * cols for _ in range(rows))
         m.rows, m.cols = rows, cols
         return m
 
@@ -80,14 +81,10 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         m = Matrix.__new__(Matrix)
         m.data = tuple(
-            tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n)
+            tuple(Q(1) if i == j else _ZERO for j in range(n)) for i in range(n)
         )
         m.rows = m.cols = n
         return m
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        return Matrix(rows)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -133,18 +130,40 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ocols = tuple(other.col(j) for j in range(other.cols))
-        return Matrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(r, c)) for c in ocols)
-                for r in self.data
-            )
-        )
+        # nonzero (col, value) pairs of each row of the right factor,
+        # listed once; each output row accumulates only over the
+        # nonzero entries of the left row
+        orows = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
+        ncols = other.cols
+        out = []
+        for r in self.data:
+            acc = {}
+            for a, orow in zip(r, orows):
+                if a:
+                    for j, b in orow:
+                        if j in acc:
+                            acc[j] += a * b
+                        else:
+                            acc[j] = a * b
+            out.append(tuple(acc.get(j, _ZERO) for j in range(ncols)))
+        m = Matrix.__new__(Matrix)
+        m.data = tuple(out)
+        m.rows, m.cols = self.rows, ncols
+        return m
 
     def mulvec(self, v: Sequence[Fraction]) -> tuple:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self.data)
+        nz = [(j, x) for j, x in enumerate(v) if x]
+        out = []
+        for r in self.data:
+            s = _ZERO
+            for j, x in nz:
+                a = r[j]
+                if a:
+                    s += a * x
+            out.append(s)
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(self.col(j) for j in range(self.cols)))
@@ -361,7 +380,7 @@ class Subspace:
         w = list(v)
         for c, row in zip(coeffs, self.basis.data):
             if c:
-                w = [a - c * b for a, b in zip(w, row)]
+                w = [a - c * b if b else a for a, b in zip(w, row)]
         if not vec_is_zero(w):
             return None
         return coeffs

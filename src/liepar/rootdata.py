@@ -34,6 +34,7 @@ from .ratmat import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 
@@ -321,8 +322,8 @@ def root_reflection(rd: RootDatum, alpha):
     auto = g.exp_ad(x) * g.exp_ad(vec_scale(-1, y)) * g.exp_ad(x)
     # h ↦ h − α(h) h_α on the Cartan
     for hb in rd.cartan.vectors():
-        want = vec_sub_(auto.mulvec(hb),
-                        vec_sub_(hb, vec_scale(rd.eval_root(alpha, hb), h)))
+        want = vec_sub(auto.mulvec(hb),
+                       vec_sub(hb, vec_scale(rd.eval_root(alpha, hb), h)))
         if not vec_is_zero(want):
             raise InternalCheckError("reflection wrong on the Cartan")
     perm = {}
@@ -342,10 +343,6 @@ def root_reflection(rd: RootDatum, alpha):
             raise InternalCheckError("reflection does not permute root"
                                      " spaces as σ_α")
     return auto, perm
-
-
-def vec_sub_(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def simple_permutations(ss: SimpleSystem):
@@ -400,7 +397,7 @@ def weyl_word(ss: SimpleSystem, pc: ParabolicData):
     word.reverse()
     # applying the word to the base chamber must reproduce pc's roots
     check = base_neg
-    for i in reversed(word):
+    for i in word:
         check = frozenset(perms[i][a] for a in check)
     if check != target:
         raise InternalCheckError("Weyl word does not reach the target"
@@ -441,7 +438,7 @@ def levi_transport(pb: ParabolicData, xi_from, xi_to) -> Matrix:
     cur = tuple(xi_from)
     depth = pb.filtration.max_index - pb.filtration.min_index + 2
     for _ in range(depth):
-        r = vec_sub_(xi_to, cur)
+        r = vec_sub(xi_to, cur)
         if vec_is_zero(r):
             return u
         if not nil.contains_vector(r):
@@ -485,7 +482,7 @@ def type_of_any(ss: SimpleSystem, p: ParabolicData):
     zb = g.center().vectors()
     if zb:
         nb = pb.nilradical.vectors()
-        d = vec_sub_(xi_to, xi_from)
+        d = vec_sub(xi_to, xi_from)
         cols = list(nb) + list(zb)
         res = solve(
             Matrix([[c[k] for c in cols] for k in range(g.dim)]), d
@@ -495,7 +492,7 @@ def type_of_any(ss: SimpleSystem, p: ParabolicData):
                                      " nil(pb) + z(g)")
         for c, zv in zip(res[0][len(nb):], zb):
             if c:
-                xi_to = vec_sub_(xi_to, vec_scale(c, zv))
+                xi_to = vec_sub(xi_to, vec_scale(c, zv))
     u = levi_transport(pb, xi_from, xi_to)
     moved = g.apply_auto(u, p.space)
     return standardize_type(ss, moved)
@@ -518,16 +515,6 @@ class TypeMap:
 
     def image(self, ts):
         return frozenset(self.mapping[t] for t in ts)
-
-    def preimage(self, ts):
-        inv = {v: k for k, v in self.mapping.items()}
-        return frozenset(inv[t] for t in ts if t in inv)
-
-    def compose(self, other: "TypeMap") -> "TypeMap":
-        return TypeMap(
-            {k: self.mapping[v] for k, v in other.mapping.items()},
-            source=other.source, target=self.target,
-        )
 
     def is_involution(self):
         return all(

@@ -1,3 +1,4 @@
+from fractions import Fraction as Q
 from math import factorial
 
 import pytest
@@ -20,6 +21,8 @@ from liepar.building import (
     w_distance,
 )
 from liepar.catalog import (
+    FlagSpec,
+    flag_stabilizer,
     gl,
     incidence_model_admissible,
     incidence_model_subsets,
@@ -30,6 +33,7 @@ from liepar.catalog import (
 )
 from liepar.errors import DomainError
 from liepar.parabolic import opposite
+from liepar.ratmat import Subspace
 
 
 def test_model_A_counts():
@@ -95,6 +99,21 @@ def test_delta_parabolic_gl3():
     w = delta_parabolic(pb, opposite(pb), ss)
     assert len(w) == 3
     assert delta_parabolic(pb, pb, ss) == ()
+
+
+def test_delta_parabolic_non_involution_gl3():
+    # the flag <e2> < <e2,e3> sits at the 3-cycle e1 -> e2 -> e3 -> e1
+    # from the standard flag: length 2, not an involution
+    g = gl(3)
+    pb = standard_borel(g)
+    ss = standard_simple_system(g)
+    e = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
+    flag = FlagSpec(3, [Subspace.from_vectors(3, [e[1]]),
+                        Subspace.from_vectors(3, [e[1], e[2]])])
+    pc = flag_stabilizer(g, flag)
+    w = delta_parabolic(pb, pc, ss)
+    assert len(w) == 2
+    assert delta_parabolic(pc, pb, ss) == tuple(reversed(w))
 
 
 def test_delta_parabolic_so32():

@@ -4,6 +4,8 @@ import pytest
 
 from liepar.catalog import (
     FlagSpec,
+    _check_form_skew,
+    _so_gram,
     all_standard_parabolics,
     element_from_matrix,
     flag_from_parabolic,
@@ -17,7 +19,7 @@ from liepar.catalog import (
     standard_parabolic,
     standard_simple_system,
 )
-from liepar.errors import DomainError
+from liepar.errors import DomainError, InternalCheckError
 from liepar.parabolic import is_parabolic
 from liepar.ratmat import Matrix, Subspace
 
@@ -46,6 +48,13 @@ def test_so_realization_preserves_form():
         assert (r.transpose() * s + s * r).is_zero()
     assert s == s.transpose()
     assert s.rank() == 5
+
+
+def test_so_basis_skewness_check_fires():
+    s = _so_gram(1, 1)
+    _check_form_skew(so(1, 1).realization, s)
+    with pytest.raises(InternalCheckError, match="not skew for the form"):
+        _check_form_skew([Matrix([[1, 0], [0, 0]])], s)
 
 
 def test_element_from_matrix_rejects_outsiders():

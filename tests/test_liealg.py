@@ -194,3 +194,53 @@ def test_structure_validation_rejects_bad_tensor():
     ]
     with pytest.raises(DomainError):
         LieAlgebra(c)
+
+
+def test_structure_validation_checks_every_triple():
+    # the broken tensor above on b1, b2, b4 next to central b0 and b3:
+    # the only triple that fails Jacobi is (1,2,4)
+    n = 5
+
+    def e(k, c=1):
+        return tuple(Q(c) if i == k else Q(0) for i in range(n))
+
+    c = [[(Q(0),) * n for _ in range(n)] for _ in range(n)]
+    for i, j, v in ((1, 2, e(4)), (1, 4, e(1)), (2, 4, e(2))):
+        c[i][j] = v
+        c[j][i] = tuple(-x for x in v)
+    with pytest.raises(DomainError, match=r"Jacobi fails at \(1,2,4\)"):
+        LieAlgebra(c)
+
+
+def test_structure_validation_rejects_non_antisymmetric_tensor():
+    z = (Q(0),) * 2
+    e0 = (Q(1), Q(0))
+    with pytest.raises(DomainError, match="antisymmetry"):
+        LieAlgebra([[z, e0], [e0, z]])
+    with pytest.raises(DomainError, match="antisymmetry"):
+        LieAlgebra([[e0, z], [z, z]])
+
+
+def test_realization_must_match_structure():
+    g = gl(2)
+    e11, e12, e21, e22 = g.realization
+    with pytest.raises(DomainError, match=r"disagrees .* at \(0,1\)"):
+        LieAlgebra(g.structure, realization=[e11, e21, e12, e22])
+
+
+def test_from_matrices_rejects_bad_families():
+    with pytest.raises(DomainError, match="linearly independent"):
+        LieAlgebra.from_matrices([E(2, 0, 0), E(2, 0, 1),
+                                  E(2, 0, 0) + E(2, 0, 1)])
+    with pytest.raises(DomainError, match="closed under commutator"):
+        LieAlgebra.from_matrices([E(2, 0, 1), E(2, 1, 0)])
+
+
+def test_from_matrices_matches_commutators():
+    mats = [E(2, 0, 1), E(2, 1, 0), E(2, 0, 0) - E(2, 1, 1)]
+    g = LieAlgebra.from_matrices(mats)
+    # [e, f] = h, [h, e] = 2e, [h, f] = -2f
+    assert g.structure[0][1] == (Q(0), Q(0), Q(1))
+    assert g.structure[2][0] == (Q(2), Q(0), Q(0))
+    assert g.structure[2][1] == (Q(0), Q(-2), Q(0))
+    assert g.trace_form.gram == Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 2]])

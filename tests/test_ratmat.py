@@ -1,5 +1,9 @@
 from fractions import Fraction as Q
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from liepar.ratmat import (
     BilinearForm,
     Matrix,
@@ -112,3 +116,64 @@ def test_structural_equality():
     a = Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 2]])
     b = Subspace.from_vectors(3, [[2, 2, 2], [0, 0, 1]])
     assert a == b and hash(a) == hash(b)
+
+
+# ~80% of the drawn entries are zero, as in the ad matrices the
+# products mostly see
+sparse_fracs = st.tuples(
+    st.integers(0, 4), st.fractions(min_value=-4, max_value=4,
+                                    max_denominator=3),
+).map(lambda t: t[1] if t[0] == 0 else Q(0))
+
+
+def sparse_matrices(rows, cols):
+    # Matrix([]) has no columns, so 0-row shapes go through Matrix.zero
+    if rows == 0:
+        return st.just(Matrix.zero(0, cols))
+    return st.lists(
+        st.lists(sparse_fracs, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    ).map(Matrix)
+
+
+def dense_product(a, b):
+    return tuple(
+        tuple(sum((a[i, t] * b[t, j] for t in range(a.cols)), Q(0))
+              for j in range(b.cols))
+        for i in range(a.rows)
+    )
+
+
+@st.composite
+def product_operands(draw):
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a = draw(sparse_matrices(r, k))
+    b = draw(sparse_matrices(k, c))
+    v = draw(st.lists(sparse_fracs, min_size=k, max_size=k))
+    return a, b, v
+
+
+@given(product_operands())
+@settings(max_examples=150, deadline=None)
+def test_sparse_products_equal_dense_reference(ops):
+    a, b, v = ops
+    ab = a * b
+    assert (ab.rows, ab.cols) == (a.rows, b.cols)
+    assert ab.data == dense_product(a, b)
+    assert all(type(x) is Q for r in ab.data for x in r)
+    av = a.mulvec(v)
+    assert av == tuple(
+        sum((a[i, t] * v[t] for t in range(a.cols)), Q(0))
+        for i in range(a.rows)
+    )
+    assert all(type(x) is Q for x in av)
+
+
+def test_products_reject_shape_mismatch():
+    a = Matrix([[1, 0, 2], [0, 0, 1]])
+    with pytest.raises(ValueError):
+        a * a
+    with pytest.raises(ValueError):
+        a.mulvec([Q(1), Q(0)])
+    with pytest.raises(ValueError):
+        Matrix.zero(0, 2) * Matrix.zero(3, 1)
