@@ -12,9 +12,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction as Q
-from itertools import combinations
 
-from . import building, config
 from .building import (
     apartment_model_A,
     apartment_model_B,
@@ -22,7 +20,6 @@ from .building import (
     ec_reconstruction_isomorphic,
     labelled_isomorphism,
     lie_apartment,
-    w_distance,
 )
 from .catalog import (
     all_standard_parabolics,
@@ -52,7 +49,7 @@ from .parabolic import (
     opposite,
     project,
 )
-from .ratmat import Matrix, Subspace
+from .ratmat import Matrix, Subspace, lincomb, vec_is_zero
 from .rootdata import duality_involution, type_of_any
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -61,15 +58,13 @@ SEED = 20240917
 
 
 def _rand_vec(rng, basis, lo=-2, hi=2):
-    dim = len(basis[0])
-    v = (Q(0),) * dim
-    while all(c == 0 for c in v):
-        v = (Q(0),) * dim
-        for b in basis:
-            c = Q(rng.randint(lo, hi))
-            if c:
-                v = tuple(x + c * y for x, y in zip(v, b))
-    return v
+    """A nonzero combination of the basis with coefficients drawn
+    from [lo, hi]."""
+    while True:
+        v = lincomb([rng.randint(lo, hi) for _ in basis], basis,
+                    len(basis[0]))
+        if not vec_is_zero(v):
+            return v
 
 
 def _rand_nil(rng, g, pb):

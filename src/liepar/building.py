@@ -10,11 +10,9 @@ parabolic subspaces bijectively).
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Optional
 
 from .errors import DomainError, InternalCheckError
 from .parabolic import ParabolicData, common_levi, make_parabolic
-from .ratmat import Subspace
 
 __all__ = [
     "IncidenceSystem",
@@ -360,12 +358,6 @@ def lie_apartment(g, rd) -> LieApartment:
     perms = simple_permutations(ss)
     base_neg = ss.negative_roots()
 
-    def space_of(neg):
-        vecs = list(rd.levi.vectors())
-        for a in neg:
-            vecs.extend(rd.root_spaces[a].vectors())
-        return Subspace.from_vectors(g.dim, vecs)
-
     # orbit of the base chamber under the simple reflections, tracking
     # the image of each simple root (the chamber's own walls)
     start = (base_neg, tuple(ss.simples))
@@ -384,7 +376,7 @@ def lie_apartment(g, rd) -> LieApartment:
     for neg, walls in seen:
         states.setdefault(neg, set()).add(walls)
     chambers = sorted(states, key=repr)
-    spaces = {c: space_of(c) for c in chambers}
+    spaces = {c: rd.span_of(c) for c in chambers}
     panels = {}
     for i in range(len(ss.simples)):
         groups = {}
@@ -406,23 +398,9 @@ def lie_apartment(g, rd) -> LieApartment:
 
 def _base_chamber(g, rd) -> ParabolicData:
     """Minimal parabolic from a regular element of the Cartan."""
-    d = rd.cartan.dim
-    m = 1
-    while True:
-        coeffs = [m ** i for i in range(d)]
-        ok = all(
-            sum(c * v for c, v in zip(coeffs, a)) != 0 for a in rd.roots
-        )
-        if ok:
-            break
-        m += 1
-        if m > 10 * len(rd.roots) + 10:
-            raise InternalCheckError("no regular element found")
-    vecs = list(rd.levi.vectors())
-    for a in rd.roots:
-        if sum(c * v for c, v in zip(coeffs, a)) < 0:
-            vecs.extend(rd.root_spaces[a].vectors())
-    return make_parabolic(g, Subspace.from_vectors(g.dim, vecs))
+    h = rd.regular_element()
+    return make_parabolic(
+        g, rd.span_of(a for a in rd.roots if rd.eval_root(a, h) < 0))
 
 
 def canonical_word(ss, word, generator_order):

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DomainError, InternalCheckError
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, _flat
 from .building import IncidenceSystem
 from .parabolic import ParabolicData, make_parabolic
 from .ratmat import Matrix, Subspace, kernel, solve
 from .rootdata import (
-    RootDatum,
     SimpleSystem,
     parabolic_from_subset,
     root_decomposition,
@@ -130,13 +129,12 @@ def element_from_matrix(g: LieAlgebra, m: Matrix):
     """Coordinates of a realization matrix in the algebra basis."""
     if g.realization is None:
         raise DomainError("algebra has no realization")
-    sz = m.rows
-    cols = Matrix([
-        [r[i, j] for r in g.realization]
-        for i in range(sz) for j in range(sz)
-    ])
-    target = [m[i, j] for i in range(sz) for j in range(sz)]
-    res = solve(cols, target)
+    sz = g.realization[0].rows
+    if (m.rows, m.cols) != (sz, sz):
+        raise DomainError("matrix is %d×%d, the realization %d×%d"
+                          % (m.rows, m.cols, sz, sz))
+    res = solve(Matrix([_flat(r) for r in g.realization]).transpose(),
+                _flat(m))
     if res is None:
         raise DomainError("matrix not in the algebra")
     return res[0]
@@ -166,16 +164,8 @@ class FlagSpec:
                 raise DomainError("chain not strictly increasing")
         if form is not None:
             for w in self.chain:
-                for x in w.vectors():
-                    for y in w.vectors():
-                        val = sum(
-                            (Q(a) * b for a, b in
-                             zip(x, form.mulvec([Q(c) for c in y]))),
-                            Q(0),
-                        )
-                        if val != 0:
-                            raise DomainError("flag member not"
-                                              " isotropic")
+                if not (w.basis * form * w.basis.transpose()).is_zero():
+                    raise DomainError("flag member not isotropic")
 
     def __eq__(self, other):
         return (isinstance(other, FlagSpec)
@@ -191,17 +181,15 @@ def _action_stabilizer(g: LieAlgebra, members) -> Subspace:
     the realization."""
     if g.realization is None:
         raise DomainError("algebra has no realization")
-    rows = []
-    for w in members:
-        for v in w.vectors():
-            imgs = [w.reduce(r.mulvec(v)) for r in g.realization]
-            if all(all(c == 0 for c in im) for im in imgs):
-                continue
-            for k in range(len(imgs[0])):
-                rows.append([imgs[j][k] for j in range(g.dim)])
-    if not rows:
-        return g.full_space()
-    return kernel(Matrix(rows))
+    # column j of the constraint system: r_j·v reduced mod W, for every
+    # basis vector v of every member W
+    cols = [
+        tuple(chain.from_iterable(
+            w.reduce(r.mulvec(v)) for w in members for v in w.vectors()
+        ))
+        for r in g.realization
+    ]
+    return kernel(Matrix(cols).transpose())
 
 
 def flag_stabilizer(g: LieAlgebra, f: FlagSpec) -> ParabolicData:

@@ -21,20 +21,25 @@ def _parse_algebra(spec: str):
     from . import catalog
 
     if spec == "-":
-        data = json.load(sys.stdin)
-        kind = data["algebra"]
+        try:
+            kind = json.load(sys.stdin)["algebra"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise DomainError("stdin: expected a JSON object with an"
+                              " 'algebra' list") from None
         spec = "%s:%s" % (kind[0], ",".join(str(x) for x in kind[1:]))
+    name, _, args = spec.partition(":")
     try:
-        name, _, args = spec.partition(":")
         nums = [int(x) for x in args.split(",")] if args else []
-        if name == "gl" and len(nums) == 1:
-            return catalog.gl(nums[0])
-        if name == "sl" and len(nums) == 1:
-            return catalog.sl(nums[0])
-        if name == "so" and len(nums) == 2:
-            return catalog.so(nums[0], nums[1])
     except ValueError:
-        pass
+        nums = []  # no family takes zero parameters
+    # outside the try: the catalog's own DomainErrors (e.g. for sl:1)
+    # reach the user as they are
+    if name == "gl" and len(nums) == 1:
+        return catalog.gl(nums[0])
+    if name == "sl" and len(nums) == 1:
+        return catalog.sl(nums[0])
+    if name == "so" and len(nums) == 2:
+        return catalog.so(nums[0], nums[1])
     raise DomainError("unknown algebra %r (use gl:N, sl:N, so:P,Q)"
                       % spec)
 
@@ -42,12 +47,6 @@ def _parse_algebra(spec: str):
 def _frac_str(x) -> str:
     x = Q(x)
     return "%d/%d" % (x.numerator, x.denominator)
-
-
-def _parse_frac(s) -> Q:
-    if isinstance(s, str):
-        return Q(s)
-    return Q(s)
 
 
 def _vec_out(v):
@@ -58,28 +57,52 @@ def _space_out(s):
     return [_vec_out(r) for r in s.vectors()]
 
 
-def _load_vectors(arg):
-    """Inline JSON or @file with {"vectors": [[...], ...]}."""
+def _load_json(arg, what):
+    """Inline JSON, or the JSON in the file named after '@'; a missing
+    file or malformed JSON is a DomainError naming the input."""
     if arg.startswith("@"):
-        with open(arg[1:]) as fh:
-            data = json.load(fh)
+        try:
+            with open(arg[1:]) as fh:
+                text = fh.read()
+        except OSError as e:
+            raise DomainError("%s: cannot read %s (%s)"
+                              % (what, arg[1:], e.strerror)) from None
     else:
-        data = json.loads(arg)
-    if isinstance(data, dict):
-        data = data["vectors"]
-    return [[_parse_frac(x) for x in row] for row in data]
+        text = arg
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DomainError("%s: malformed JSON (%s)" % (what, e)) from None
 
 
-def _load_space(g, arg):
+def _vectors(data, what, dim):
+    """Rational vectors of length dim from a JSON list of lists."""
+    try:
+        vecs = [[Q(x) for x in row] for row in data]
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError("%s: expected a list of vectors of rationals"
+                          % what) from None
+    for v in vecs:
+        if len(v) != dim:
+            raise DomainError("%s: vector of length %d, expected %d"
+                              % (what, len(v), dim))
+    return vecs
+
+
+def _load_space(g, arg, what):
+    """Inline JSON or @file with [[...], ...] or {"vectors": [...]}."""
     from .ratmat import Subspace
 
-    return Subspace.from_vectors(g.dim, _load_vectors(arg))
+    data = _load_json(arg, what)
+    if isinstance(data, dict):
+        data = data.get("vectors")
+    return Subspace.from_vectors(g.dim, _vectors(data, what, g.dim))
 
 
-def _load_parabolic(g, arg):
+def _load_parabolic(g, arg, what):
     from .parabolic import make_parabolic
 
-    return make_parabolic(g, _load_space(g, arg))
+    return make_parabolic(g, _load_space(g, arg, what))
 
 
 def _emit(obj):
@@ -107,7 +130,7 @@ def cmd_check(args):
     from .parabolic import is_parabolic
 
     g = _parse_algebra(args.algebra)
-    s = _load_space(g, args.space)
+    s = _load_space(g, args.space, "--space")
     ok, cert = is_parabolic(g, s)
     _emit({
         "parabolic": ok,
@@ -120,8 +143,8 @@ def cmd_check(args):
 
 def cmd_project(args):
     g = _parse_algebra(args.algebra)
-    p = _load_parabolic(g, args.p)
-    q = _load_parabolic(g, args.q)
+    p = _load_parabolic(g, args.p, "--p")
+    q = _load_parabolic(g, args.q, "--q")
     from .parabolic import project
 
     r, r0 = project(q, p)
@@ -136,7 +159,7 @@ def cmd_project(args):
 
 def cmd_opposite(args):
     g = _parse_algebra(args.algebra)
-    p = _load_parabolic(g, args.space)
+    p = _load_parabolic(g, args.space, "--space")
     from .parabolic import opposite
 
     op = opposite(p)
@@ -147,7 +170,7 @@ def cmd_opposite(args):
 
 def cmd_levi(args):
     g = _parse_algebra(args.algebra)
-    p = _load_parabolic(g, args.space)
+    p = _load_parabolic(g, args.space, "--space")
     lq = p.levi_quotient()
     _emit({
         "dim": lq.algebra.dim,
@@ -185,7 +208,7 @@ def cmd_weyl(args):
 
     g = _parse_algebra(args.algebra)
     ss = standard_simple_system(g)
-    pc = _load_parabolic(g, args.space)
+    pc = _load_parabolic(g, args.space, "--space")
     word = weyl_word(ss, pc)
     _emit({"word": list(word), "length": len(word),
            "rank": len(ss.simples)})
@@ -198,8 +221,8 @@ def cmd_delta(args):
 
     g = _parse_algebra(args.algebra)
     ss = standard_simple_system(g)
-    pb = _load_parabolic(g, args.p)
-    pc = _load_parabolic(g, args.q)
+    pb = _load_parabolic(g, args.p, "--p")
+    pc = _load_parabolic(g, args.q, "--q")
     word = delta_parabolic(pb, pc, base_ss=ss)
     _emit({"delta": list(word), "length": len(word)})
     return 0
@@ -210,13 +233,16 @@ def cmd_building(args):
 
     if args.model:
         kind, _, n = args.model.partition(":")
-        n = int(n)
+        try:
+            n = int(n)
+        except ValueError:
+            kind = None
         if kind == "A":
             thin = building.apartment_model_A(n)
         elif kind == "B":
             thin = building.apartment_model_B(n)
         else:
-            raise DomainError("model must be A:n or B:n")
+            raise DomainError("--model must be A:n or B:n")
     else:
         from .catalog import standard_minimal_levi
 
@@ -272,7 +298,6 @@ def _config_from_witness(arg):
     """Witness JSON: {"algebra": [...], "points": [...]} or
     {"algebra": [...], "planes": [[u,v],...]}, plus "center":
     vectors spanning the subspace whose stabilizer is the center."""
-    from .building import IncidenceSystem  # noqa: F401  (schema dep)
     from .catalog import _action_stabilizer
     from .config import (
         cross_configuration,
@@ -282,38 +307,37 @@ def _config_from_witness(arg):
     from .parabolic import make_parabolic
     from .ratmat import Subspace
 
-    if arg.startswith("@"):
-        with open(arg[1:]) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(arg)
+    data = _load_json(arg, "witness")
+    if not (isinstance(data, dict) and isinstance(data.get("algebra"), list)
+            and data["algebra"] and "center" in data):
+        raise DomainError("witness needs an 'algebra' list and 'center'")
     g = _parse_algebra("%s:%s" % (
         data["algebra"][0],
         ",".join(str(x) for x in data["algebra"][1:]),
     ))
+    n = g.defining_dim
     if "points" in data:
         cfg = simplex_configuration(
-            g, [[_parse_frac(x) for x in p] for p in data["points"]]
-        )
+            g, _vectors(data["points"], "witness points", n))
     elif "planes" in data:
-        cfg = cross_configuration(
-            g,
-            [([_parse_frac(x) for x in u], [_parse_frac(x) for x in v])
-             for u, v in data["planes"]],
-        )
+        planes = [_vectors(uv, "witness planes", n)
+                  for uv in data["planes"]]
+        if any(len(uv) != 2 for uv in planes):
+            raise DomainError("witness planes must be pairs [u, v]")
+        cfg = cross_configuration(g, planes)
     else:
         raise DomainError("witness needs 'points' or 'planes'")
     center = Subspace.from_vectors(
-        g.defining_dim,
-        [[_parse_frac(x) for x in v] for v in data["center"]],
-    )
+        n, _vectors(data["center"], "witness center", n))
     q = make_parabolic(g, _action_stabilizer(g, [center]))
     return project_configuration(q, cfg)
 
 
 def cmd_selftest(args):
     from . import acceptance
+    from .parabolic import ext_budget
 
+    ext_budget()  # a bad LIEPAR_EXT_BUDGET fails before the battery runs
     ok = acceptance.run_all(report=lambda line: print(line))
     return 0 if ok else 1
 

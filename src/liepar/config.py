@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as Q
-from itertools import combinations
 
 from .building import IncidenceSystem, to_dot
 from .catalog import (
@@ -32,7 +31,7 @@ from .parabolic import (
     make_parabolic,
     project,
 )
-from .ratmat import Matrix, Subspace, vec_add, vec_scale, zero_vec
+from .ratmat import Subspace, lincomb
 from .rootdata import (
     duality_involution,
     root_decomposition,
@@ -191,9 +190,6 @@ class _CenterStructures:
         lq = q.levi_quotient()
         self.lq = lq
         a0 = lq.project_space(l)
-        if chamber.space == g.full_space():
-            # q = g: the quotient is g itself and nu is a relabelling
-            pass
         rd0 = root_decomposition(lq.algebra, a0)
         pb0_space = lq.project_space(chamber.space)
         pb0 = make_parabolic(lq.algebra, pb0_space)
@@ -253,26 +249,10 @@ def _chamber_inside(q: ParabolicData, rd_q) -> ParabolicData:
     regular element."""
     g = q.ambient
     xi_q, _ = grading_lift(q, rd_q.cartan)
-    d = rd_q.cartan.dim
-    cb = rd_q.cartan.vectors()
-    m = 1
-    while True:
-        small = zero_vec(g.dim)
-        for i, v in enumerate(cb):
-            small = vec_add(small, vec_scale(Q(m) ** i, v))
-        if all(rd_q.eval_root(a, small) != 0 for a in rd_q.roots):
-            break
-        m += 1
-        if m > 10 * len(rd_q.roots) + 10:
-            raise InternalCheckError("no regular element found")
+    small = rd_q.regular_element()
     bound = max(abs(rd_q.eval_root(a, small)) for a in rd_q.roots)
-    big = 2 * bound + 1
-    xi = vec_add(vec_scale(big, xi_q), small)
-    vecs = list(rd_q.levi.vectors())
-    for a in rd_q.roots:
-        if rd_q.eval_root(a, xi) < 0:
-            vecs.extend(rd_q.root_spaces[a].vectors())
-    space = Subspace.from_vectors(g.dim, vecs)
+    xi = lincomb((2 * bound + 1, 1), (xi_q, small), g.dim)
+    space = rd_q.span_of(a for a in rd_q.roots if rd_q.eval_root(a, xi) < 0)
     if not q.space.contains(space):
         raise InternalCheckError("dominated chamber escapes q")
     return make_parabolic(g, space)

@@ -9,7 +9,7 @@ used for perps.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import Callable, Optional, Sequence
 
@@ -20,11 +20,10 @@ from .ratmat import (
     Q,
     Subspace,
     _frac_row,
-    _rref_rows,
     kernel,
-    vec_add,
+    lincomb,
+    rref,
     vec_is_zero,
-    vec_scale,
     zero_vec,
 )
 
@@ -224,9 +223,8 @@ def _vector_annihilator(m: Matrix, v):
 
 def _matrix_inverse(m: Matrix) -> Matrix:
     n = m.rows
-    aug = [list(r) + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, r in enumerate(m.data)]
-    red = _rref_rows(aug)
+    aug = [r + e for r, e in zip(m.data, Matrix.identity(n).data)]
+    red = rref(Matrix(aug)).data
     if len(red) < n or any(red[i][i] != 1 for i in range(n)):
         raise DomainError("matrix not invertible")
     return Matrix([r[n:] for r in red])
@@ -312,9 +310,8 @@ class LieAlgebra:
         # one elimination of [flat(mats) | I]: the left block is the
         # canonical basis of the span, the right block writes each of
         # its rows in terms of the mats
-        aug = [list(_flat(m)) + list(e)
-               for m, e in zip(mats, Matrix.identity(n).data)]
-        red = _rref_rows(aug)
+        aug = [_flat(m) + e for m, e in zip(mats, Matrix.identity(n).data)]
+        red = rref(Matrix(aug)).data
         if any(not any(r[:sz * sz]) for r in red):
             raise DomainError("matrices not linearly independent")
         flat = Subspace(sz * sz, Matrix([r[:sz * sz] for r in red]))
@@ -426,8 +423,7 @@ class LieAlgebra:
     def ad(self, x) -> Matrix:
         """Matrix of ad(x): v ↦ [x, v] on coordinates."""
         cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
-        return Matrix([[cols[j][k] for j in range(self.dim)]
-                       for k in range(self.dim)])
+        return Matrix(cols).transpose()
 
     def basis_element(self, i):
         return _unit(self.dim, i)
@@ -455,17 +451,15 @@ class LieAlgebra:
         n = self.dim
         if a.dim == 0:
             return Subspace.full(n)
-        rows = []
-        for av in a.vectors():
-            # column i of the constraint block: [b_i, av] reduced mod b
-            cols = [b.reduce(self._bracket_basis_vec(i, av)) for i in range(n)]
-            for k in range(n):
-                row = [cols[i][k] for i in range(n)]
-                if not vec_is_zero(row):
-                    rows.append(row)
-        if not rows:
-            return Subspace.full(n)
-        return kernel(Matrix(rows))
+        # column i of the constraint system: [b_i, av] reduced mod b,
+        # for every basis vector av of a
+        cols = [
+            tuple(chain.from_iterable(
+                b.reduce(self._bracket_basis_vec(i, av)) for av in a.vectors()
+            ))
+            for i in range(n)
+        ]
+        return kernel(Matrix(cols).transpose())
 
     def normalizer(self, s: Subspace) -> Subspace:
         return self.transporter(s, s)
@@ -668,11 +662,7 @@ class LieAlgebra:
             return cs
 
         def to_ambient(c):
-            out = zero_vec(self.dim)
-            for ci, b in zip(c, basis):
-                if ci:
-                    out = vec_add(out, vec_scale(ci, b))
-            return out
+            return lincomb(c, basis, self.dim)
 
         return sub, to_sub, to_ambient
 

@@ -10,6 +10,7 @@ powers of the adjoint representation.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from math import comb
 from typing import Optional
 
@@ -20,11 +21,10 @@ from .ratmat import (
     Q,
     Subspace,
     kernel,
+    lincomb,
     solve,
-    vec_add,
     vec_is_zero,
     vec_scale,
-    zero_vec,
 )
 
 __all__ = [
@@ -47,6 +47,19 @@ __all__ = [
 
 EXT_BUDGET_ENV = "LIEPAR_EXT_BUDGET"
 DEFAULT_EXT_BUDGET = 512
+
+
+def ext_budget() -> int:
+    """Largest exterior-power dimension lowest_weight_line will build:
+    LIEPAR_EXT_BUDGET if set, else DEFAULT_EXT_BUDGET."""
+    raw = os.environ.get(EXT_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_EXT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError("%s must be an integer, got %r"
+                          % (EXT_BUDGET_ENV, raw)) from None
 
 
 def _require_form(g: LieAlgebra):
@@ -95,7 +108,7 @@ def is_parabolic(g: LieAlgebra, p: Subspace):
 
 
 class LeviQuotient:
-    """Levi quotient q/nil(q) with projection and section maps.
+    """Levi quotient q/nil(q) with its projection map.
 
     The quotient algebra carries the form induced from the ambient
     one, which is well defined and nondegenerate because the radical
@@ -104,38 +117,22 @@ class LeviQuotient:
 
     def __init__(self, parent: "ParabolicData"):
         g = parent.ambient
-        sub, to_sub, to_amb = g.restrict(parent.space)
+        sub, to_sub, _ = g.restrict(parent.space)
         ideal = Subspace.from_vectors(
             sub.dim, [to_sub(v) for v in parent.nilradical.vectors()]
         )
         quo, proj, section = sub.quotient_algebra(ideal)
-        gram = Matrix(
-            [[sub.form.value(si, sj) for sj in section] for si in section]
-        )
-        from .ratmat import BilinearForm
-
-        form = BilinearForm(gram)
+        form = sub.form.restrict(section)
         if not form.is_nondegenerate():
             raise InternalCheckError("induced Levi form degenerate")
         self.algebra = LieAlgebra(quo.structure, form=form, validate=False)
         self._to_sub = to_sub
-        self._to_amb = to_amb
         self._proj = proj
-        self._section = section
         self.parent = parent
 
     def project_vector(self, v):
         """Ambient coordinates of an element of q ↦ quotient coords."""
         return self._proj(self._to_sub(v))
-
-    def section_vector(self, c):
-        """Quotient coordinates ↦ ambient coordinates of a
-        representative in the chosen Levi section."""
-        out = zero_vec(self.parent.ambient.dim)
-        for ci, s in zip(c, self._section):
-            if ci:
-                out = vec_add(out, vec_scale(ci, self._to_amb(s)))
-        return out
 
     def project_space(self, s: Subspace) -> Subspace:
         return Subspace.from_vectors(
@@ -224,45 +221,32 @@ def grading_lift(pd: ParabolicData, constraint: Optional[Subspace] = None,
     cb = constraint.vectors()
     if not cb:
         raise DomainError("empty constraint space")
-    rows = []
-    rhs = []
+    # one block of g.dim equations per basis vector x of each level
+    # f^(j): [c, x] ≡ j·x mod f^(j-1), as a system in the coefficients
+    # of ξ on cb; column r holds the equations' entries for cb[r]
     filt = pd.filtration
-    for j in filt.indices():
-        below = filt.level(j - 1)
-        for x in filt.level(j).vectors():
-            cols = [below.reduce(g.bracket(c, x)) for c in cb]
-            target = below.reduce(vec_scale(j, x))
-            for k in range(g.dim):
-                row = [cols[r][k] for r in range(len(cb))]
-                if vec_is_zero(row) and target[k] == 0:
-                    continue
-                rows.append(row)
-                rhs.append(target[k])
+    blocks = [(filt.level(j - 1), j, x) for j in filt.indices()
+              for x in filt.level(j).vectors()]
+    cols = [
+        tuple(chain.from_iterable(
+            below.reduce(g.bracket(c, x)) for below, _, x in blocks
+        ))
+        for c in cb
+    ]
+    rhs = tuple(chain.from_iterable(
+        below.reduce(vec_scale(j, x)) for below, j, x in blocks
+    ))
     if commute_with is not None:
-        for r in range(g.dim):
-            row = [g.bracket(c, commute_with)[r] for c in cb]
-            if not vec_is_zero(row):
-                rows.append(row)
-                rhs.append(Q(0))
-    if not rows:
-        xi = zero_vec(g.dim)
-        return xi, pd.nilradical.intersect(constraint)
-    res = solve(Matrix(rows), rhs)
+        cols = [col + g.bracket(c, commute_with) for col, c in zip(cols, cb)]
+        rhs += (Q(0),) * g.dim
+    res = solve(Matrix(cols).transpose(), rhs)
     if res is None:
         raise DomainError("no grading lift in the constraint space")
     t, ker = res
-    xi = zero_vec(g.dim)
-    for ti, c in zip(t, cb):
-        if ti:
-            xi = vec_add(xi, vec_scale(ti, c))
-    torsor_vecs = []
-    for kv in ker.vectors():
-        v = zero_vec(g.dim)
-        for ti, c in zip(kv, cb):
-            if ti:
-                v = vec_add(v, vec_scale(ti, c))
-        torsor_vecs.append(v)
-    torsor = Subspace.from_vectors(g.dim, torsor_vecs)
+    xi = lincomb(t, cb, g.dim)
+    torsor = Subspace.from_vectors(
+        g.dim, [lincomb(kv, cb, g.dim) for kv in ker.vectors()]
+    )
     if commute_with is None:
         expected = pd.nilradical.sum(g.center()).intersect(constraint)
         if torsor != expected:
@@ -490,7 +474,7 @@ def lowest_weight_line(q: ParabolicData):
     """
     g = q.ambient
     d = q.nilradical.dim
-    budget = int(os.environ.get(EXT_BUDGET_ENV, DEFAULT_EXT_BUDGET))
+    budget = ext_budget()
     mod_dim = comb(g.dim, d)
     if mod_dim > budget:
         raise DomainError(

@@ -26,6 +26,7 @@ __all__ = [
     "vec_scale",
     "vec_is_zero",
     "zero_vec",
+    "lincomb",
 ]
 
 
@@ -54,6 +55,18 @@ def vec_scale(c, u: Sequence[Fraction]) -> tuple:
 
 def vec_is_zero(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
+
+
+def lincomb(coeffs: Iterable, vectors: Iterable[Sequence[Fraction]],
+            n: int) -> tuple:
+    """Σ cᵢ·vᵢ in dimension n, skipping zero coefficients and entries."""
+    acc = [_ZERO] * n
+    for c, v in zip(coeffs, vectors, strict=True):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    acc[k] += c * x
+    return tuple(acc)
 
 
 class Matrix:
@@ -166,7 +179,12 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.col(j) for j in range(self.cols)))
+        # Matrix(cols).transpose() is the matrix whose columns are cols;
+        # an r×0 matrix transposes to 0×r, and the entries are shared
+        m = Matrix.__new__(Matrix)
+        m.data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        m.rows, m.cols = self.cols, self.rows
+        return m
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -186,7 +204,7 @@ class Matrix:
         return Matrix(self.data + other.data)
 
     def rank(self) -> int:
-        return len(_rref_rows([list(r) for r in self.data]))
+        return len(_rref_rows(self.data))
 
     def __pow__(self, k: int) -> "Matrix":
         if self.rows != self.cols or k < 0:
@@ -206,8 +224,11 @@ class Matrix:
         return "Matrix(%r)" % ([[str(x) for x in r] for r in self.data],)
 
 
-def _rref_rows(rows: list) -> list:
-    """In-place Gauss-Jordan; returns nonzero rows of the unique RREF."""
+def _rref_rows(rows: Iterable[Sequence[Fraction]]) -> list:
+    """Gauss-Jordan on the nonzero rows given; returns the nonzero rows
+    of the unique RREF as new lists.  Zero rows are dropped here, so
+    callers may hand in constraint systems with all-zero rows."""
+    rows = [list(r) for r in rows if any(r)]
     if not rows:
         return []
     ncols = len(rows[0])
@@ -243,7 +264,7 @@ def _rref_rows(rows: list) -> list:
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form, zero rows dropped."""
-    out = _rref_rows([list(r) for r in m.data])
+    out = _rref_rows(m.data)
     mat = Matrix.__new__(Matrix)
     mat.data = tuple(tuple(r) for r in out)
     mat.rows = len(out)
@@ -263,7 +284,7 @@ def _pivot_cols(rref_rows) -> list:
 
 def kernel(m: Matrix) -> "Subspace":
     """Null space {x : m·x = 0} as a Subspace of dimension m.cols."""
-    red = _rref_rows([list(r) for r in m.data])
+    red = _rref_rows(m.data)
     piv = _pivot_cols(red)
     pivset = set(piv)
     free = [c for c in range(m.cols) if c not in pivset]
@@ -285,8 +306,7 @@ def solve(a: Matrix, b: Sequence[Fraction]):
     """
     if len(b) != a.rows:
         raise ValueError("shape mismatch")
-    aug = [list(r) + [Q(x)] for r, x in zip(a.data, b)]
-    red = _rref_rows(aug)
+    red = _rref_rows(r + (Q(x),) for r, x in zip(a.data, b))
     piv = _pivot_cols(red)
     if a.cols in piv:  # pivot in augmented column: inconsistent
         return None
@@ -320,7 +340,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("ambient mismatch")
-        red = _rref_rows([list(r) for r in rows])
+        red = _rref_rows(rows)
         mat = Matrix.__new__(Matrix)
         mat.data = tuple(tuple(r) for r in red)
         mat.rows = len(red)
@@ -404,21 +424,11 @@ class Subspace:
         du, dv = self.dim, other.dim
         if du == 0 or dv == 0:
             return Subspace.zero(n)
-        rows = []
-        for c in range(n):
-            rows.append(
-                [self.basis.data[i][c] for i in range(du)]
-                + [-other.basis.data[j][c] for j in range(dv)]
-            )
-        ker = kernel(Matrix(rows))
-        vecs = []
-        for k in ker.vectors():
-            a = k[:du]
-            v = [Q(0)] * n
-            for ai, u in zip(a, self.basis.data):
-                if ai:
-                    v = [x + ai * y for x, y in zip(v, u)]
-            vecs.append(v)
+        cols = self.basis.data + tuple(
+            tuple(-x for x in v) for v in other.basis.data
+        )
+        ker = kernel(Matrix(cols).transpose())
+        vecs = [lincomb(k[:du], self.basis.data, n) for k in ker.vectors()]
         return Subspace.from_vectors(n, vecs)
 
     def perp(self, form: "BilinearForm") -> "Subspace":
@@ -447,10 +457,6 @@ class BilinearForm:
         self.ambient_dim = gram.rows
         self.gram = gram
 
-    def value(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        gy = self.gram.mulvec(_frac_row(y))
-        return sum((Q(a) * b for a, b in zip(x, gy)), Q(0))
-
     def radical(self) -> Subspace:
         return kernel(self.gram)
 
@@ -459,13 +465,9 @@ class BilinearForm:
 
     def restrict(self, basis_vectors: Sequence[Sequence[Fraction]]) -> "BilinearForm":
         """Gram matrix of the form on the given vectors."""
-        vs = [_frac_row(v) for v in basis_vectors]
-        gv = [self.gram.mulvec(v) for v in vs]
-        return BilinearForm(
-            Matrix(
-                [[sum((a * b for a, b in zip(u, gw)), Q(0)) for gw in gv] for u in vs]
-            )
-        )
+        v = (Matrix(basis_vectors) if len(basis_vectors)
+             else Matrix.zero(0, self.ambient_dim))
+        return BilinearForm(v * self.gram * v.transpose())
 
     def __eq__(self, other):
         return isinstance(other, BilinearForm) and self.gram == other.gram

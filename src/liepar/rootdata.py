@@ -13,14 +13,12 @@ the Cartan subspace.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DomainError, InternalCheckError
 from .liealg import LieAlgebra, minimal_polynomial, poly_rational_roots
 from .parabolic import (
     ParabolicData,
     common_levi,
-    compatible_lifts,
     grading_lift,
     make_parabolic,
     opposite,
@@ -30,12 +28,11 @@ from .ratmat import (
     Q,
     Subspace,
     kernel,
+    lincomb,
     solve,
-    vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
-    zero_vec,
 )
 
 __all__ = [
@@ -91,6 +88,40 @@ class RootDatum:
                 "subspace is not ml plus a set of root spaces"
             )
         return s
+
+    def span_of(self, roots) -> Subspace:
+        """ml plus the root spaces of the given roots."""
+        vecs = list(self.levi.vectors())
+        for a in roots:
+            vecs.extend(self.root_spaces[a].vectors())
+        return Subspace.from_vectors(self.ambient.dim, vecs)
+
+    def regular_element(self):
+        """Σ m^i·h_i over the Cartan basis h_i for the least m ≥ 1 on
+        which no root vanishes (root values are coordinates on that
+        basis, so α(h) = Σ α_i·m^i)."""
+        d = self.cartan.dim
+        m = 1
+        while True:
+            coeffs = [Q(m) ** i for i in range(d)]
+            if all(sum(c * v for c, v in zip(coeffs, a)) != 0
+                   for a in self.roots):
+                return lincomb(coeffs, self.cartan.vectors(),
+                               self.ambient.dim)
+            m += 1
+            if m > 10 * len(self.roots) + 10:
+                raise InternalCheckError("no regular element found")
+
+    def reflection(self, alpha) -> dict:
+        """σ_α(β) = β − β(h_α)·α as a permutation of the roots."""
+        perm = {}
+        for beta in self.roots:
+            k = self.pairing(beta, alpha)
+            img = tuple(b - k * a for a, b in zip(alpha, beta))
+            if img not in self.root_spaces:
+                raise InternalCheckError("σ_α leaves the root system")
+            perm[beta] = img
+        return perm
 
 
 def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
@@ -246,11 +277,7 @@ def simple_system(rd: RootDatum, pb: ParabolicData) -> SimpleSystem:
         res = solve(Matrix(rows), rhs)
         if res is None or res[1].dim != 0:
             raise InternalCheckError("fundamental coweight not unique")
-        v = zero_vec(g.dim)
-        for c, b in zip(res[0], lat.vectors()):
-            if c:
-                v = vec_add(v, vec_scale(c, b))
-        cw[alpha] = v
+        cw[alpha] = lincomb(res[0], lat.vectors(), g.dim)
     # fundamental weights: λ^α(h_β) = δ, vanishing on z(g) ∩ a
     zg = g.center().intersect(rd.cartan)
     fw = {}
@@ -277,14 +304,9 @@ def parabolic_from_subset(ss: SimpleSystem, J) -> ParabolicData:
     J = frozenset(J)
     if not J <= set(ss.simples):
         raise DomainError("J not a subset of the simple roots")
-    xi = zero_vec(g.dim)
-    for alpha in J:
-        xi = vec_add(xi, ss.fundamental_coweights[alpha])
-    vecs = list(rd.levi.vectors())
-    for alpha in rd.roots:
-        if rd.eval_root(alpha, xi) <= 0:
-            vecs.extend(rd.root_spaces[alpha].vectors())
-    space = Subspace.from_vectors(g.dim, vecs)
+    xi = lincomb([1] * len(J), [ss.fundamental_coweights[a] for a in J],
+                 g.dim)
+    space = rd.span_of(a for a in rd.roots if rd.eval_root(a, xi) <= 0)
     pd = make_parabolic(g, space)
     pd.grading_element = xi
     return pd
@@ -311,29 +333,18 @@ def root_reflection(rd: RootDatum, alpha):
     h = rd.coroots[alpha]
     # y in g_{-α} with [x, y] = h
     nb = rd.root_spaces[neg].vectors()
-    cols = [g.bracket(x, b) for b in nb]
-    res = solve(Matrix([[c[k] for c in cols] for k in range(g.dim)]), h)
+    res = solve(Matrix([g.bracket(x, b) for b in nb]).transpose(), h)
     if res is None:
         raise InternalCheckError("coroot equation unsolvable")
-    y = zero_vec(g.dim)
-    for c, b in zip(res[0], nb):
-        if c:
-            y = vec_add(y, vec_scale(c, b))
+    y = lincomb(res[0], nb, g.dim)
     auto = g.exp_ad(x) * g.exp_ad(vec_scale(-1, y)) * g.exp_ad(x)
     # h ↦ h − α(h) h_α on the Cartan
     for hb in rd.cartan.vectors():
         want = vec_sub(auto.mulvec(hb),
-                       vec_sub(hb, vec_scale(rd.eval_root(alpha, hb), h)))
+                       lincomb((1, -rd.eval_root(alpha, hb)), (hb, h), g.dim))
         if not vec_is_zero(want):
             raise InternalCheckError("reflection wrong on the Cartan")
-    perm = {}
-    for beta in rd.roots:
-        img = tuple(
-            b - rd.pairing(beta, alpha) * a for a, b in zip(alpha, beta)
-        )
-        if img not in rd.root_spaces:
-            raise InternalCheckError("σ_α leaves the root system")
-        perm[beta] = img
+    perm = rd.reflection(alpha)
     if set(perm.values()) != set(rd.roots):
         raise InternalCheckError("σ_α not a permutation")
     # the automorphism must carry g_β onto g_{σβ}
@@ -348,19 +359,7 @@ def root_reflection(rd: RootDatum, alpha):
 def simple_permutations(ss: SimpleSystem):
     """σ_α as root permutations for each simple α (combinatorial only,
     no automorphism matrices)."""
-    rd = ss.rd
-    out = []
-    for alpha in ss.simples:
-        perm = {}
-        for beta in rd.roots:
-            perm[beta] = tuple(
-                b - rd.pairing(beta, alpha) * a
-                for a, b in zip(alpha, beta)
-            )
-            if perm[beta] not in rd.root_spaces:
-                raise InternalCheckError("σ_α leaves the root system")
-        out.append(perm)
-    return out
+    return [ss.rd.reflection(alpha) for alpha in ss.simples]
 
 
 def _chamber_negatives(ss: SimpleSystem, pc: ParabolicData):
@@ -444,17 +443,10 @@ def levi_transport(pb: ParabolicData, xi_from, xi_to) -> Matrix:
         if not nil.contains_vector(r):
             raise InternalCheckError("lift difference not in nil(pb)")
         nb = nil.vectors()
-        cols = [g.bracket(b, cur) for b in nb]
-        res = solve(
-            Matrix([[c[k] for c in cols] for k in range(g.dim)]), r
-        )
+        res = solve(Matrix([g.bracket(b, cur) for b in nb]).transpose(), r)
         if res is None:
             raise InternalCheckError("transport equation unsolvable")
-        w = zero_vec(g.dim)
-        for c, b in zip(res[0], nb):
-            if c:
-                w = vec_add(w, vec_scale(c, b))
-        u = g.exp_ad(w) * u
+        u = g.exp_ad(lincomb(res[0], nb, g.dim)) * u
         cur = u.mulvec(xi_from)
     raise InternalCheckError("Levi transport did not converge")
 
@@ -483,16 +475,11 @@ def type_of_any(ss: SimpleSystem, p: ParabolicData):
     if zb:
         nb = pb.nilradical.vectors()
         d = vec_sub(xi_to, xi_from)
-        cols = list(nb) + list(zb)
-        res = solve(
-            Matrix([[c[k] for c in cols] for k in range(g.dim)]), d
-        )
+        res = solve(Matrix(nb + zb).transpose(), d)
         if res is None:
             raise InternalCheckError("lift difference outside"
                                      " nil(pb) + z(g)")
-        for c, zv in zip(res[0][len(nb):], zb):
-            if c:
-                xi_to = vec_sub(xi_to, vec_scale(c, zv))
+        xi_to = vec_sub(xi_to, lincomb(res[0][len(nb):], zb, g.dim))
     u = levi_transport(pb, xi_from, xi_to)
     moved = g.apply_auto(u, p.space)
     return standardize_type(ss, moved)

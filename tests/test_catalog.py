@@ -62,6 +62,9 @@ def test_element_from_matrix_rejects_outsiders():
     bad = Matrix.identity(5)
     with pytest.raises(DomainError):
         element_from_matrix(g, bad)
+    # a matrix of the wrong size is rejected, not solved on a corner
+    with pytest.raises(DomainError, match="realization 5×5"):
+        element_from_matrix(g, Matrix.identity(4))
 
 
 def test_flag_stabilizer_line_gl3():

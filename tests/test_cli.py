@@ -175,3 +175,27 @@ def test_space_from_file(tmp_path, capsys):
     f.write_text(json.dumps({"vectors": json.loads(UPPER2)}))
     code, out = run(capsys, ["check", "gl:2", "--space", "@%s" % f])
     assert code == 0 and json.loads(out)["parabolic"] is True
+
+
+@pytest.mark.parametrize("argv, env, named", [
+    (["make", "sl:1"], {}, "n must be >= 2"),
+    (["check", "gl:2", "--space", "[[1,2"], {}, "--space"),
+    (["check", "gl:2", "--space", "@{tmp}/missing.json"], {}, "--space"),
+    (["check", "gl:2", "--space", "[[1,2]]"], {}, "--space"),
+    (["selftest"], {"LIEPAR_EXT_BUDGET": "lots"}, "LIEPAR_EXT_BUDGET"),
+    (["building", "--model", "A:x"], {}, "--model"),
+    (["config", '{"algebra": 5, "center": []}'], {}, "witness"),
+], ids=["catalog-rejects", "malformed-json", "missing-file",
+        "wrong-length", "bad-ext-budget", "bad-model", "witness-algebra"])
+def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
+                                       argv, env, named):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out = run(capsys, argv)
+    assert code == 1
+    # json.loads rejects anything after the first object
+    data = json.loads(out)
+    assert isinstance(data, dict) and data["error"] == "domain"
+    # the message names the input (for sl:1 it is the catalog's own)
+    assert named in data["message"]

@@ -196,6 +196,14 @@ def test_lowest_weight_line_budget(monkeypatch):
         lowest_weight_line(q)
 
 
+def test_lowest_weight_line_budget_not_an_integer(monkeypatch):
+    monkeypatch.setenv("LIEPAR_EXT_BUDGET", "4.5")
+    g = gl(2)
+    pd = make_parabolic(g, span(g, [E(2, 0, 0), E(2, 0, 1), E(2, 1, 1)]))
+    with pytest.raises(DomainError, match="LIEPAR_EXT_BUDGET"):
+        lowest_weight_line(pd)
+
+
 def test_filtration_of_so_borel():
     g = so(3, 2)
     pb = standard_borel(g)

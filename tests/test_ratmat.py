@@ -9,8 +9,10 @@ from liepar.ratmat import (
     Matrix,
     Subspace,
     kernel,
+    lincomb,
     rref,
     solve,
+    vec_is_zero,
 )
 
 
@@ -144,19 +146,34 @@ def dense_product(a, b):
     )
 
 
+def sparse_vectors(n):
+    return st.lists(sparse_fracs, min_size=n, max_size=n)
+
+
 @st.composite
 def product_operands(draw):
+    """a (r×k), b (k×c), a k-vector v, coefficients on a's rows, and a
+    symmetric k×k Gram matrix."""
     r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
     a = draw(sparse_matrices(r, k))
     b = draw(sparse_matrices(k, c))
-    v = draw(st.lists(sparse_fracs, min_size=k, max_size=k))
-    return a, b, v
+    v = draw(sparse_vectors(k))
+    coeffs = draw(sparse_vectors(r))
+    s = draw(sparse_matrices(k, k))
+    return a, b, v, coeffs, s + s.transpose()
+
+
+def dense_lincomb(coeffs, vectors, n):
+    return tuple(
+        sum((c * vec[t] for c, vec in zip(coeffs, vectors)), Q(0))
+        for t in range(n)
+    )
 
 
 @given(product_operands())
 @settings(max_examples=150, deadline=None)
 def test_sparse_products_equal_dense_reference(ops):
-    a, b, v = ops
+    a, b, v, coeffs, gram = ops
     ab = a * b
     assert (ab.rows, ab.cols) == (a.rows, b.cols)
     assert ab.data == dense_product(a, b)
@@ -167,6 +184,35 @@ def test_sparse_products_equal_dense_reference(ops):
         for i in range(a.rows)
     )
     assert all(type(x) is Q for x in av)
+    k = a.cols
+    # lincomb, including zero coefficients and the empty vector list
+    comb = lincomb(coeffs, a.data, k)
+    assert comb == dense_lincomb(coeffs, a.data, k)
+    assert all(type(x) is Q for x in comb)
+    assert lincomb([Q(0)] * a.rows, a.data, k) == (Q(0),) * k
+    # the system whose columns are a's rows (a k×0 system when a has
+    # no rows)
+    cols = a.transpose()
+    assert (cols.rows, cols.cols) == (k, a.rows)
+    res = solve(cols, v)
+    span = Subspace.from_vectors(k, a.data)
+    if res is None:
+        assert not span.contains_vector(v)
+    else:
+        x, ker = res
+        assert dense_lincomb(x, a.data, k) == tuple(v)
+        assert ker.dim == a.rows - span.dim
+        for kv in ker.vectors():
+            assert vec_is_zero(dense_lincomb(kv, a.data, k))
+    # the restricted Gram matrix ⟨a_i, a_j⟩
+    restricted = BilinearForm(gram).restrict(a.data)
+    assert restricted.gram.data == tuple(
+        tuple(sum((x * gram[s, t] * y
+                   for s, x in enumerate(ai) for t, y in enumerate(aj)),
+                  Q(0))
+              for aj in a.data)
+        for ai in a.data
+    )
 
 
 def test_products_reject_shape_mismatch():
