@@ -24,6 +24,7 @@ from .building import (
 from .catalog import (
     all_standard_parabolics,
     element_from_matrix,
+    entry,
     gl,
     incidence_model_admissible,
     incidence_model_subsets,
@@ -117,7 +118,7 @@ def criterion_1():
             (name + " nilradical", g, standard_borel(g).nilradical)
         )
     gso = so(3, 2)
-    s = gso.defining_form
+    s = entry(gso).form
     sz = 5
 
     def rot(x, y):

@@ -9,6 +9,7 @@ parabolic subspaces bijectively).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, permutations
 
 from .errors import DomainError, InternalCheckError
@@ -182,34 +183,38 @@ class ThinChamberSystem:
             chamber = self.apply(label, chamber)
         return chamber
 
-    def structure_group(self, generator_order=None):
+    def structure_group(self):
         """Group generated by the involutions, acting on chambers, as
-        {permutation: shortlex-minimal word} with a fixed generator
-        order."""
-        order = (list(generator_order) if generator_order is not None
-                 else self.labels())
+        {permutation: shortlex-minimal word} in label order."""
         chambers = sorted(self.chambers, key=repr)
-        gens = {
-            label: tuple(self.involutions[label][c] for c in chambers)
-            for label in order
-        }
         index = {c: i for i, c in enumerate(chambers)}
-        ident = tuple(chambers)
-        seen = {ident: ()}
-        queue = [ident]
-        while queue:
-            nxt = []
-            for el in queue:
-                w = seen[el]
-                for label in order:
-                    gperm = gens[label]
-                    # right action: first el, then the generator
-                    new = tuple(gperm[index[c]] for c in el)
-                    if new not in seen:
-                        seen[new] = w + (label,)
-                        nxt.append(new)
-            queue = nxt
-        return seen, chambers
+
+        def right_action(label):
+            # first el, then the generator
+            gperm = tuple(self.involutions[label][c] for c in chambers)
+            return lambda el: tuple(gperm[index[c]] for c in el)
+
+        moves = [(label, right_action(label)) for label in self.labels()]
+        return _shortlex(tuple(chambers), moves), chambers
+
+
+def _shortlex(start, moves):
+    """Breadth-first search from start; at each state the moves, a
+    list of (symbol, step), are tried in order and the first word to
+    reach a state wins.  Returns {state: shortlex-minimal word}."""
+    seen = {start: ()}
+    queue = [start]
+    while queue:
+        nxt = []
+        for x in queue:
+            w = seen[x]
+            for symbol, step in moves:
+                y = step(x)
+                if y not in seen:
+                    seen[y] = w + (symbol,)
+                    nxt.append(y)
+        queue = nxt
+    return seen
 
 
 def apartment_model_A(n: int) -> ThinChamberSystem:
@@ -276,19 +281,10 @@ class WDistance:
     def delta(self, b, c):
         """Shortlex-minimal word of a gallery from b to c."""
         if b not in self._cache:
-            table = {b: ()}
-            queue = [b]
-            order = self.thin.labels()
-            while queue:
-                nxt = []
-                for x in queue:
-                    for label in order:
-                        y = self.thin.apply(label, x)
-                        if y not in table:
-                            table[y] = table[x] + (label,)
-                            nxt.append(y)
-                queue = nxt
-            self._cache[b] = table
+            self._cache[b] = _shortlex(b, [
+                (label, partial(self.thin.apply, label))
+                for label in self.thin.labels()
+            ])
         return self._cache[b][c]
 
     def table(self):
@@ -410,29 +406,17 @@ def canonical_word(ss, word, generator_order):
     from .rootdata import simple_permutations
 
     perms = simple_permutations(ss)
-    roots = sorted(ss.rd.roots)
-    ident = tuple(roots)
 
-    def act(el, i):
+    def act(i):
         p = perms[i]
-        return tuple(p[r] for r in el)
+        return lambda el: tuple(p[r] for r in el)
 
+    ident = tuple(sorted(ss.rd.roots))
     target = ident
     for i in word:
-        target = act(target, i)
-    seen = {ident: ()}
-    queue = [ident]
-    while queue:
-        nxt = []
-        for el in queue:
-            w = seen[el]
-            for pos, i in enumerate(generator_order):
-                new = act(el, i)
-                if new not in seen:
-                    seen[new] = w + (pos,)
-                    nxt.append(new)
-        queue = nxt
-    return seen[target]
+        target = act(i)(target)
+    moves = [(pos, act(i)) for pos, i in enumerate(generator_order)]
+    return _shortlex(ident, moves)[target]
 
 
 def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
@@ -445,10 +429,9 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
     automorphisms.
     """
     from .rootdata import (
-        parabolic_from_subset,
+        base_types,
         root_decomposition,
         simple_system,
-        type_of_any,
         weyl_word,
     )
 
@@ -469,14 +452,7 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
         return canonical_word(ss, word, order)
     # canonical generator order: sort local simples by the base-system
     # type of their maximal parabolic
-    labels = []
-    for alpha in ss.simples:
-        q = parabolic_from_subset(ss, {alpha})
-        t = type_of_any(base_ss, q)
-        if len(t) != 1:
-            raise InternalCheckError("maximal parabolic with non-"
-                                     "singleton type")
-        labels.append(next(iter(t)))
+    labels = list(base_types(ss, base_ss).values())
     base_order = list(base_ss.simples)
     order = sorted(range(len(ss.simples)),
                    key=lambda i: base_order.index(labels[i]))

@@ -30,10 +30,14 @@ __all__ = [
     "gl",
     "sl",
     "so",
+    "CatalogEntry",
+    "entry",
+    "realization_size",
     "FlagSpec",
     "flag_stabilizer",
     "isotropic_flag_stabilizer",
     "flag_from_parabolic",
+    "frame_levi",
     "standard_minimal_levi",
     "standard_borel",
     "standard_simple_system",
@@ -45,10 +49,48 @@ __all__ = [
 ]
 
 
+class CatalogEntry:
+    """What the catalog knows about one of its algebras: the family,
+    the defining form, a split Cartan and the standard flag.  The
+    standard minimal Levi and simple system are derived from these
+    once, on first use."""
+
+    def __init__(self, kind: tuple, form, cartan: list, flag: list):
+        self.kind = kind  # ("gl", n), ("sl", n) or ("so", p, q)
+        self.form = form  # Gram matrix of the defining form; so(p,q) only
+        self.cartan = cartan  # realization matrices of the split Cartan
+        self.flag = flag  # standard (isotropic) coordinate flag members
+        self.minimal_levi = None  # (levi, RootDatum)
+        self.simple_system = None
+
+
+_ENTRIES = {}
+
+
+def entry(g: LieAlgebra) -> CatalogEntry:
+    try:
+        return _ENTRIES[g]
+    except KeyError:
+        raise DomainError("not a catalog algebra") from None
+
+
+def _register(mats, labels, kind, cartan, flag, form=None) -> LieAlgebra:
+    g = LieAlgebra.from_matrices(mats, labels=labels)
+    _ENTRIES[g] = CatalogEntry(kind, form, cartan, flag)
+    return g
+
+
 def _eij(n, i, j):
     rows = [[Q(0)] * n for _ in range(n)]
     rows[i][j] = Q(1)
     return Matrix(rows)
+
+
+def _coordinate_flag(n, axes):
+    """Spans of the first 1, 2, ... of the given coordinate axes."""
+    units = [[Q(int(i == a)) for i in range(n)] for a in axes]
+    return [Subspace.from_vectors(n, units[:d])
+            for d in range(1, len(units) + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -60,11 +102,9 @@ def gl(n: int) -> LieAlgebra:
         for j in range(n):
             mats.append(_eij(n, i, j))
             labels.append("E[%d,%d]" % (i + 1, j + 1))
-    g = LieAlgebra.from_matrices(mats, labels=labels)
-    g.kind = ("gl", n)
-    g.defining_dim = n
-    g.defining_form = None
-    return g
+    return _register(mats, labels, ("gl", n),
+                     [_eij(n, i, i) for i in range(n)],
+                     _coordinate_flag(n, range(n - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -77,14 +117,11 @@ def sl(n: int) -> LieAlgebra:
             if i != j:
                 mats.append(_eij(n, i, j))
                 labels.append("E[%d,%d]" % (i + 1, j + 1))
-    for i in range(n - 1):
-        mats.append(_eij(n, i, i) - _eij(n, i + 1, i + 1))
-        labels.append("H[%d]" % (i + 1))
-    g = LieAlgebra.from_matrices(mats, labels=labels)
-    g.kind = ("sl", n)
-    g.defining_dim = n
-    g.defining_form = None
-    return g
+    cartan = [_eij(n, i, i) - _eij(n, i + 1, i + 1) for i in range(n - 1)]
+    mats.extend(cartan)
+    labels.extend("H[%d]" % (i + 1) for i in range(n - 1))
+    return _register(mats, labels, ("sl", n), cartan,
+                     _coordinate_flag(n, range(n - 1)))
 
 
 def _so_gram(p: int, q: int) -> Matrix:
@@ -110,11 +147,11 @@ def so(p: int, q: int) -> LieAlgebra:
             mats.append(s * (_eij(sz, i, j) - _eij(sz, j, i)))
             labels.append("X[%d,%d]" % (i + 1, j + 1))
     _check_form_skew(mats, s)
-    g = LieAlgebra.from_matrices(mats, labels=labels)
-    g.kind = ("so", p, q)
-    g.defining_dim = sz
-    g.defining_form = s
-    return g
+    # h_i scales u_i by 1 and v_i by -1; the u_i span the isotropic flag
+    cartan = [_eij(sz, 2 * i, 2 * i) - _eij(sz, 2 * i + 1, 2 * i + 1)
+              for i in range(q)]
+    return _register(mats, labels, ("so", p, q), cartan,
+                     _coordinate_flag(sz, range(0, 2 * q, 2)), form=s)
 
 
 def _check_form_skew(mats, s: Matrix):
@@ -125,11 +162,16 @@ def _check_form_skew(mats, s: Matrix):
                                      " the form" % k)
 
 
-def element_from_matrix(g: LieAlgebra, m: Matrix):
-    """Coordinates of a realization matrix in the algebra basis."""
+def realization_size(g: LieAlgebra) -> int:
+    """Dimension of the defining space the realization acts on."""
     if g.realization is None:
         raise DomainError("algebra has no realization")
-    sz = g.realization[0].rows
+    return g.realization[0].rows
+
+
+def element_from_matrix(g: LieAlgebra, m: Matrix):
+    """Coordinates of a realization matrix in the algebra basis."""
+    sz = realization_size(g)
     if (m.rows, m.cols) != (sz, sz):
         raise DomainError("matrix is %d×%d, the realization %d×%d"
                           % (m.rows, m.cols, sz, sz))
@@ -179,8 +221,7 @@ class FlagSpec:
 def _action_stabilizer(g: LieAlgebra, members) -> Subspace:
     """{x in g : x . W subseteq W for all members W}, acting through
     the realization."""
-    if g.realization is None:
-        raise DomainError("algebra has no realization")
+    realization_size(g)  # a DomainError without one
     # column j of the constraint system: r_j·v reduced mod W, for every
     # basis vector v of every member W
     cols = [
@@ -193,18 +234,24 @@ def _action_stabilizer(g: LieAlgebra, members) -> Subspace:
 
 
 def flag_stabilizer(g: LieAlgebra, f: FlagSpec) -> ParabolicData:
-    if f.ambient_dim != g.defining_dim:
+    if f.ambient_dim != realization_size(g):
         raise DomainError("flag in the wrong defining space")
-    space = _action_stabilizer(g, f.chain)
-    return make_parabolic(g, space)
+    return make_parabolic(g, _action_stabilizer(g, f.chain))
 
 
 def isotropic_flag_stabilizer(g: LieAlgebra, f: FlagSpec) -> ParabolicData:
-    if getattr(g, "defining_form", None) is None:
+    form = entry(g).form
+    if form is None:
         raise DomainError("algebra carries no defining form")
     if f.form is None:
-        f = FlagSpec(f.ambient_dim, f.chain, form=g.defining_form)
+        f = FlagSpec(f.ambient_dim, f.chain, form=form)
     return flag_stabilizer(g, f)
+
+
+def frame_levi(g: LieAlgebra, lines) -> Subspace:
+    """Simultaneous stabilizer of the lines of a frame: the minimal
+    Levi of the apartment the frame spans."""
+    return _action_stabilizer(g, lines)
 
 
 def flag_from_parabolic(p: ParabolicData) -> FlagSpec:
@@ -213,9 +260,8 @@ def flag_from_parabolic(p: ParabolicData) -> FlagSpec:
     round-trip through flag_stabilizer is the correctness criterion.
     """
     g = p.ambient
-    if g.realization is None:
-        raise DomainError("algebra has no realization")
-    sz = g.defining_dim
+    form = entry(g).form
+    sz = realization_size(g)
     nil_mats = []
     for v in p.nilradical.vectors():
         m = Matrix.zero(sz, sz)
@@ -236,7 +282,6 @@ def flag_from_parabolic(p: ParabolicData) -> FlagSpec:
         chain.append(nxt)
         cur = nxt
     members = [w for w in reversed(chain) if 0 < w.dim < sz]
-    form = getattr(g, "defining_form", None)
     if form is not None:
         kept = []
         for w in members:
@@ -247,8 +292,7 @@ def flag_from_parabolic(p: ParabolicData) -> FlagSpec:
             kept.append(w)
         members = kept
     f = FlagSpec(sz, members, form=form)
-    back = (isotropic_flag_stabilizer(g, f) if form is not None
-            else flag_stabilizer(g, f))
+    back = flag_stabilizer(g, f)
     if back.space != p.space:
         raise InternalCheckError("flag round-trip failed")
     return f
@@ -260,72 +304,29 @@ def flag_from_parabolic(p: ParabolicData) -> FlagSpec:
 
 def standard_minimal_levi(g: LieAlgebra):
     """(minimal Levi subspace, RootDatum on the split part)."""
-    kind = getattr(g, "kind", None)
-    if kind is None:
-        raise DomainError("not a catalog algebra")
-    if kind[0] in ("gl", "sl"):
-        n = kind[1]
-        diag = [_eij(n, i, i) for i in range(n)]
-        if kind[0] == "sl":
-            diag = [_eij(n, i, i) - _eij(n, i + 1, i + 1)
-                    for i in range(n - 1)]
-        vecs = [element_from_matrix(g, m) for m in diag]
-        a = Subspace.from_vectors(g.dim, vecs)
-    else:
-        _, p, q = kind
-        sz = p + q
-        vecs = []
-        for i in range(q):
-            h = _eij(sz, 2 * i, 2 * i) - _eij(sz, 2 * i + 1, 2 * i + 1)
-            vecs.append(element_from_matrix(g, h))
-        a = Subspace.from_vectors(g.dim, vecs)
-    rd = root_decomposition(g, a)
-    return rd.levi, rd
-
-
-def _standard_flag_members(g: LieAlgebra):
-    kind = g.kind
-    if kind[0] in ("gl", "sl"):
-        n = kind[1]
-        return [
-            Subspace.from_vectors(
-                n, [_unit_vec(n, i) for i in range(d)]
-            )
-            for d in range(1, n)
-        ]
-    _, p, q = kind
-    sz = p + q
-    return [
-        Subspace.from_vectors(
-            sz, [_unit_vec(sz, 2 * i) for i in range(d)]
-        )
-        for d in range(1, q + 1)
-    ]
-
-
-def _unit_vec(n, i):
-    v = [Q(0)] * n
-    v[i] = Q(1)
-    return v
+    e = entry(g)
+    if e.minimal_levi is None:
+        a = Subspace.from_vectors(
+            g.dim, [element_from_matrix(g, h) for h in e.cartan])
+        rd = root_decomposition(g, a)
+        e.minimal_levi = (rd.levi, rd)
+    return e.minimal_levi
 
 
 def standard_borel(g: LieAlgebra) -> ParabolicData:
     """Stabilizer of the standard (isotropic, in the orthogonal case)
     full coordinate flag; the standard minimal parabolic."""
-    members = _standard_flag_members(g)
-    form = getattr(g, "defining_form", None)
-    f = FlagSpec(g.defining_dim, members, form=form)
-    return flag_stabilizer(g, f)
+    e = entry(g)
+    return flag_stabilizer(
+        g, FlagSpec(realization_size(g), e.flag, form=e.form))
 
 
 def standard_simple_system(g: LieAlgebra) -> SimpleSystem:
-    ss = getattr(g, "_standard_ss", None)
-    if ss is None:
+    e = entry(g)
+    if e.simple_system is None:
         _, rd = standard_minimal_levi(g)
-        pb = standard_borel(g)
-        ss = simple_system(rd, pb)
-        g._standard_ss = ss
-    return ss
+        e.simple_system = simple_system(rd, standard_borel(g))
+    return e.simple_system
 
 
 def standard_parabolic(g: LieAlgebra, J) -> ParabolicData:

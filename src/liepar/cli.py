@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction as Q
 
@@ -22,11 +23,10 @@ def _parse_algebra(spec: str):
 
     if spec == "-":
         try:
-            kind = json.load(sys.stdin)["algebra"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            raise DomainError("stdin: expected a JSON object with an"
-                              " 'algebra' list") from None
-        spec = "%s:%s" % (kind[0], ",".join(str(x) for x in kind[1:]))
+            data = json.load(sys.stdin)
+        except json.JSONDecodeError:
+            data = None
+        spec = _algebra_spec(data, "stdin")
     name, _, args = spec.partition(":")
     try:
         nums = [int(x) for x in args.split(",")] if args else []
@@ -42,6 +42,15 @@ def _parse_algebra(spec: str):
         return catalog.so(nums[0], nums[1])
     raise DomainError("unknown algebra %r (use gl:N, sl:N, so:P,Q)"
                       % spec)
+
+
+def _algebra_spec(data, what):
+    """'so:3,2' from a JSON object whose 'algebra' is ["so", 3, 2]."""
+    kind = data.get("algebra") if isinstance(data, dict) else None
+    if not (isinstance(kind, list) and kind):
+        raise DomainError("%s: expected a JSON object with an 'algebra'"
+                          " list" % what)
+    return "%s:%s" % (kind[0], ",".join(str(x) for x in kind[1:]))
 
 
 def _frac_str(x) -> str:
@@ -76,12 +85,23 @@ def _load_json(arg, what):
 
 
 def _vectors(data, what, dim):
-    """Rational vectors of length dim from a JSON list of lists."""
+    """Rational vectors of length dim from a JSON list of lists of
+    integers or rational strings such as "1/10"."""
     try:
+        # a string row would otherwise be read character by character
+        if not all(isinstance(row, list) for row in data):
+            raise TypeError("vector is not a JSON list")
         vecs = [[Q(x) for x in row] for row in data]
     except (TypeError, ValueError, ZeroDivisionError):
         raise DomainError("%s: expected a list of vectors of rationals"
                           % what) from None
+    # a JSON float is binary: 0.1 would read as 3602879701896397/2**55
+    inexact = [x for row in data for x in row
+               if isinstance(x, (bool, float))]
+    if inexact:
+        raise DomainError("%s: %s is not an integer or a rational string"
+                          " such as \"1/10\""
+                          % (what, json.dumps(inexact[0])))
     for v in vecs:
         if len(v) != dim:
             raise DomainError("%s: vector of length %d, expected %d"
@@ -116,9 +136,11 @@ def _emit(obj):
 
 
 def cmd_make(args):
+    from .catalog import entry
+
     g = _parse_algebra(args.algebra)
     _emit({
-        "algebra": list(g.kind),
+        "algebra": list(entry(g).kind),
         "dim": g.dim,
         "labels": list(g.labels),
         "reductive": bool(g.is_reductive()),
@@ -298,24 +320,19 @@ def _config_from_witness(arg):
     """Witness JSON: {"algebra": [...], "points": [...]} or
     {"algebra": [...], "planes": [[u,v],...]}, plus "center":
     vectors spanning the subspace whose stabilizer is the center."""
-    from .catalog import _action_stabilizer
+    from .catalog import FlagSpec, flag_stabilizer, realization_size
     from .config import (
         cross_configuration,
         project_configuration,
         simplex_configuration,
     )
-    from .parabolic import make_parabolic
     from .ratmat import Subspace
 
     data = _load_json(arg, "witness")
-    if not (isinstance(data, dict) and isinstance(data.get("algebra"), list)
-            and data["algebra"] and "center" in data):
-        raise DomainError("witness needs an 'algebra' list and 'center'")
-    g = _parse_algebra("%s:%s" % (
-        data["algebra"][0],
-        ",".join(str(x) for x in data["algebra"][1:]),
-    ))
-    n = g.defining_dim
+    g = _parse_algebra(_algebra_spec(data, "witness"))
+    if "center" not in data:
+        raise DomainError("witness needs a 'center'")
+    n = realization_size(g)
     if "points" in data:
         cfg = simplex_configuration(
             g, _vectors(data["points"], "witness points", n))
@@ -329,7 +346,7 @@ def _config_from_witness(arg):
         raise DomainError("witness needs 'points' or 'planes'")
     center = Subspace.from_vectors(
         n, _vectors(data["center"], "witness center", n))
-    q = make_parabolic(g, _action_stabilizer(g, [center]))
+    q = flag_stabilizer(g, FlagSpec(n, [center]))
     return project_configuration(q, cfg)
 
 
@@ -420,13 +437,23 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
-    except DomainError as e:
-        _emit({"error": "domain", "message": str(e)})
+        try:
+            code = args.fn(args)
+        except DomainError as e:
+            _emit({"error": "domain", "message": str(e)})
+            code = 1
+        except InternalCheckError as e:
+            _emit({"error": "internal-check", "message": str(e)})
+            code = 2
+        # a closed stdout must fail here, inside the try, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe of the Python signal docs: the interpreter flushes
+        # stdout again at exit, so point it at devnull first
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except InternalCheckError as e:
-        _emit({"error": "internal-check", "message": str(e)})
-        return 2
 
 
 if __name__ == "__main__":

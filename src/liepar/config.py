@@ -16,9 +16,12 @@ from fractions import Fraction as Q
 from .building import IncidenceSystem, to_dot
 from .catalog import (
     FlagSpec,
-    _action_stabilizer,
+    entry,
+    flag_stabilizer,
+    frame_levi,
     incidence_model_admissible,
     incidence_model_subsets,
+    realization_size,
     standard_simple_system,
 )
 from .errors import DomainError, InternalCheckError
@@ -33,6 +36,7 @@ from .parabolic import (
 )
 from .ratmat import Subspace, lincomb
 from .rootdata import (
+    base_types,
     duality_involution,
     root_decomposition,
     simple_system,
@@ -55,15 +59,13 @@ class Configuration:
     """Assignment of parabolics to the elements of an incidence
     system; incident elements must map to costandard parabolics."""
 
-    def __init__(self, source: IncidenceSystem, targets: dict,
-                 algebra, verify=True):
+    def __init__(self, source: IncidenceSystem, targets: dict, algebra):
         self.source = source
         self.targets = dict(targets)
         self.algebra = algebra
         if set(self.targets) != set(source.elements()):
             raise DomainError("assignment does not cover the model")
-        if verify:
-            self.verify_morphism()
+        self.verify_morphism()
 
     def verify_morphism(self):
         for e in self.source.elements():
@@ -99,7 +101,7 @@ def _span(dim, vectors):
 def simplex_configuration(g, points) -> StandardConfiguration:
     """Subsets of a spanning point frame ↦ stabilizers of their
     spans."""
-    n1 = g.defining_dim
+    n1 = realization_size(g)
     points = [tuple(map(Q, p)) for p in points]
     if len(points) != n1:
         raise DomainError("need dim-many points")
@@ -111,19 +113,18 @@ def simplex_configuration(g, points) -> StandardConfiguration:
         span = _span(n1, [points[i - 1] for i in sorted(e)])
         if span.dim != len(e):
             raise DomainError("degenerate point subset")
-        f = FlagSpec(n1, [span])
-        targets[e] = _stabilizer(g, f)
-    ml = _frame_levi(g, [_span(n1, [p]) for p in points])
+        targets[e] = flag_stabilizer(g, FlagSpec(n1, [span]))
+    ml = frame_levi(g, [_span(n1, [p]) for p in points])
     return StandardConfiguration(model, targets, g, points, ml)
 
 
 def cross_configuration(g, planes) -> StandardConfiguration:
     """Admissible signed subsets of an isotropic frame of hyperbolic
     planes ↦ stabilizers of their (isotropic) spans."""
-    form = getattr(g, "defining_form", None)
+    form = entry(g).form
     if form is None:
         raise DomainError("algebra carries no defining form")
-    sz = g.defining_dim
+    sz = realization_size(g)
     planes = [
         (tuple(map(Q, u)), tuple(map(Q, v))) for u, v in planes
     ]
@@ -140,24 +141,11 @@ def cross_configuration(g, planes) -> StandardConfiguration:
         if span.dim != len(e):
             raise DomainError("degenerate frame subset")
         f = FlagSpec(sz, [span], form=form)  # isotropy checked here
-        targets[e] = _stabilizer(g, f)
+        targets[e] = flag_stabilizer(g, f)
     lines = [_span(sz, [line_of(s * i)]) for i in range(1, n + 1)
              for s in (1, -1)]
-    ml = _frame_levi(g, lines)
+    ml = frame_levi(g, lines)
     return StandardConfiguration(model, targets, g, planes, ml)
-
-
-def _stabilizer(g, f: FlagSpec) -> ParabolicData:
-    return make_parabolic(g, _action_stabilizer(g, f.chain))
-
-
-def _frame_levi(g, lines) -> Subspace:
-    """Simultaneous stabilizer of all frame lines: the minimal Levi of
-    the apartment the configuration spans."""
-    out = g.full_space()
-    for ln in lines:
-        out = out.intersect(_action_stabilizer(g, [ln]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +204,7 @@ class _CenterStructures:
                 )
             iota_local[b] = match
         if local_label is None:
-            from .rootdata import parabolic_from_subset
-
-            local_label = {}
-            for a in ss_q.simples:
-                qa = parabolic_from_subset(ss_q, {a})
-                t = type_of_any(base_ss, qa)
-                if len(t) != 1:
-                    raise InternalCheckError("non-singleton type for a"
-                                             " maximal parabolic")
-                local_label[a] = next(iter(t))
+            local_label = base_types(ss_q, base_ss)
         self.iota = {b: local_label[iota_local[b]]
                      for b in self.ss0.simples}
         op_g = duality_involution(base_ss)
@@ -308,9 +287,7 @@ def project_configuration(q: ParabolicData, c: Configuration,
         if all(x in targets0 for x in edge)
     ]
     sub = IncidenceSystem(sub_types, sub_edges)
-    out = Configuration(sub, targets0, st.lq.algebra)
-    out.center = st
-    return out
+    return Configuration(sub, targets0, st.lq.algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +369,7 @@ def tetrahedron_example():
     g = gl(4)
     pts = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     cfg = simplex_configuration(g, pts)
-    center_line = _span(4, [(1, 1, 1, 1)])
-    q = make_parabolic(g, _action_stabilizer(g, [center_line]))
+    q = flag_stabilizer(g, FlagSpec(4, [_span(4, [(1, 1, 1, 1)])]))
     proj = project_configuration(q, cfg)
     return cfg, q, proj
 
@@ -417,7 +393,6 @@ def octahedron_example():
     # u1+u2+u3 + v1+v2-2v3 is isotropic and pairs nontrivially with
     # every frame line
     w = [1, 1, 1, 1, 1, -2, 0]
-    center_line = _span(sz, [w])
-    q = make_parabolic(g, _action_stabilizer(g, [center_line]))
+    q = flag_stabilizer(g, FlagSpec(sz, [_span(sz, [w])]))
     proj = project_configuration(q, cfg)
     return cfg, q, proj

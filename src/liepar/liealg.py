@@ -295,6 +295,7 @@ class LieAlgebra:
         self.form = form if form is not None else self.trace_form
         self._derived = None
         self._center = None
+        self._sparse_cache = None
         if validate:
             self._validate()
 
@@ -381,8 +382,7 @@ class LieAlgebra:
         # structure tensor as {(i, j): [(k, c), ...]} over nonzeros;
         # the tensor is sparse for all catalog algebras, so bracketing
         # through it beats the dense loops by a wide margin
-        sp = getattr(self, "_sparse_cache", None)
-        if sp is None:
+        if self._sparse_cache is None:
             sp = {}
             for i, row in enumerate(self.structure):
                 for j, vec in enumerate(row):
@@ -390,7 +390,7 @@ class LieAlgebra:
                     if ent:
                         sp[(i, j)] = ent
             self._sparse_cache = sp
-        return sp
+        return self._sparse_cache
 
     def _bracket_basis_vec(self, i, v):
         """[b_i, v] for a coordinate vector v."""

@@ -144,13 +144,11 @@ class ParabolicData:
     """A recognized parabolic with its computed companions."""
 
     def __init__(self, ambient: LieAlgebra, space: Subspace,
-                 nilradical: Subspace, filtration: Filtration = None,
-                 certificate=None):
+                 nilradical: Subspace):
         self.ambient = ambient
         self.space = space
         self.nilradical = nilradical
-        self._filtration = filtration
-        self.certificate = certificate
+        self._filtration: Optional[Filtration] = None
         self.grading_element: Optional[tuple] = None
         self._levi: Optional[LeviQuotient] = None
 
@@ -189,14 +187,11 @@ class ParabolicData:
         return self._levi
 
 
-def make_parabolic(g: LieAlgebra, space: Subspace,
-                   expect=True) -> ParabolicData:
+def make_parabolic(g: LieAlgebra, space: Subspace) -> ParabolicData:
     ok, cert = is_parabolic(g, space)
     if not ok:
         raise DomainError("subspace is not parabolic")
-    nil = cert["perp"]
-    pd = ParabolicData(g, space, nil, certificate=cert)
-    return pd
+    return ParabolicData(g, space, cert["perp"])
 
 
 def conjugate_parabolic(pd: ParabolicData, auto: Matrix) -> ParabolicData:

@@ -48,6 +48,7 @@ __all__ = [
     "duality_involution",
     "standardize_type",
     "type_of_any",
+    "base_types",
     "levi_transport",
 ]
 
@@ -483,6 +484,20 @@ def type_of_any(ss: SimpleSystem, p: ParabolicData):
     u = levi_transport(pb, xi_from, xi_to)
     moved = g.apply_auto(u, p.space)
     return standardize_type(ss, moved)
+
+
+def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
+    """{α: the base type of q^α} for each simple α of ss: the
+    adjoint-orbit type, relative to base_ss, of the maximal parabolic
+    that α alone crosses."""
+    out = {}
+    for alpha in ss.simples:
+        t = type_of_any(base_ss, parabolic_from_subset(ss, {alpha}))
+        if len(t) != 1:
+            raise InternalCheckError("maximal parabolic with non-"
+                                     "singleton type")
+        (out[alpha],) = t
+    return out
 
 
 class TypeMap:

@@ -8,6 +8,7 @@ from liepar.catalog import (
     _so_gram,
     all_standard_parabolics,
     element_from_matrix,
+    entry,
     flag_from_parabolic,
     flag_stabilizer,
     gl,
@@ -19,7 +20,9 @@ from liepar.catalog import (
     standard_parabolic,
     standard_simple_system,
 )
+from liepar.config import cross_configuration
 from liepar.errors import DomainError, InternalCheckError
+from liepar.liealg import LieAlgebra
 from liepar.parabolic import is_parabolic
 from liepar.ratmat import Matrix, Subspace
 
@@ -43,7 +46,7 @@ def test_gl_realization_is_faithful():
 
 def test_so_realization_preserves_form():
     g = so(3, 2)
-    s = g.defining_form
+    s = entry(g).form
     for r in g.realization:
         assert (r.transpose() * s + s * r).is_zero()
     assert s == s.transpose()
@@ -76,6 +79,21 @@ def test_flag_stabilizer_line_gl3():
     assert ok
 
 
+def test_non_catalog_algebra_is_a_domain_error():
+    # gl(2) rebuilt from its matrices: same realization, no catalog entry
+    h = LieAlgebra.from_matrices(gl(2).realization)
+    for call in (lambda: standard_borel(h),
+                 lambda: standard_simple_system(h),
+                 lambda: isotropic_flag_stabilizer(h, FlagSpec(2, [])),
+                 lambda: cross_configuration(h, [])):
+        with pytest.raises(DomainError, match="not a catalog algebra"):
+            call()
+    # the flag stabilizer needs only the realization
+    line = Subspace.from_vectors(2, [[1, 0]])
+    assert (flag_stabilizer(h, FlagSpec(2, [line])).space
+            == flag_stabilizer(gl(2), FlagSpec(2, [line])).space)
+
+
 def test_flag_round_trip_gl():
     g = gl(4)
     chain = [
@@ -90,7 +108,7 @@ def test_flag_round_trip_gl():
 def test_flag_round_trip_so():
     g = so(3, 2)
     line = Subspace.from_vectors(5, [[1, 0, 0, 0, 0]])  # u_1, isotropic
-    f = FlagSpec(5, [line], form=g.defining_form)
+    f = FlagSpec(5, [line], form=entry(g).form)
     q = isotropic_flag_stabilizer(g, f)
     ok, _ = is_parabolic(g, q.space)
     assert ok
@@ -101,7 +119,7 @@ def test_isotropic_flag_rejects_anisotropic_line():
     g = so(3, 2)
     bad = Subspace.from_vectors(5, [[0, 0, 0, 0, 1]])  # Q(w,w) = 1
     with pytest.raises(DomainError):
-        FlagSpec(5, [bad], form=g.defining_form)
+        FlagSpec(5, [bad], form=entry(g).form)
 
 
 def test_standard_borel_gl3():

@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liepar
 from liepar.cli import main
 
 UPPER2 = json.dumps([
@@ -161,8 +167,6 @@ def test_config_custom_witness(tmp_path, capsys):
 
 
 def test_stdin_algebra(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(json.dumps({"algebra": ["gl", 2]}))
     )
@@ -177,20 +181,35 @@ def test_space_from_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["parabolic"] is True
 
 
-@pytest.mark.parametrize("argv, env, named", [
-    (["make", "sl:1"], {}, "n must be >= 2"),
-    (["check", "gl:2", "--space", "[[1,2"], {}, "--space"),
-    (["check", "gl:2", "--space", "@{tmp}/missing.json"], {}, "--space"),
-    (["check", "gl:2", "--space", "[[1,2]]"], {}, "--space"),
-    (["selftest"], {"LIEPAR_EXT_BUDGET": "lots"}, "LIEPAR_EXT_BUDGET"),
-    (["building", "--model", "A:x"], {}, "--model"),
-    (["config", '{"algebra": 5, "center": []}'], {}, "witness"),
+@pytest.mark.parametrize("argv, env, stdin, named", [
+    (["make", "sl:1"], {}, None, "n must be >= 2"),
+    (["check", "gl:2", "--space", "[[1,2"], {}, None, "--space"),
+    (["check", "gl:2", "--space", "@{tmp}/missing.json"], {}, None,
+     "--space"),
+    (["check", "gl:2", "--space", "[[1,2]]"], {}, None, "--space"),
+    (["selftest"], {"LIEPAR_EXT_BUDGET": "lots"}, None, "LIEPAR_EXT_BUDGET"),
+    (["building", "--model", "A:x"], {}, None, "--model"),
+    (["config", '{"algebra": 5, "center": []}'], {}, None, "witness"),
+    (["config", '{"algebra": [], "center": []}'], {}, None, "witness"),
+    (["make", "-"], {}, '{"algebra": []}', "stdin"),
+    (["make", "-"], {}, '{"algebra": 5}', "stdin"),
+    # 0.1 as a JSON float is binary; only "1/10" or "0.1" is exact
+    (["check", "gl:2", "--space", "[[0.1,1,0,0]]"], {}, None,
+     "--space: 0.1"),
+    (["config", '{"algebra": ["gl", 2], "points": [[1, 0], [0, 1.5]],'
+                ' "center": [[1, 1]]}'], {}, None, "witness points: 1.5"),
+    (["config", '{"algebra": ["gl", 2], "points": ["10", "01"],'
+                ' "center": [[1, 1]]}'], {}, None, "witness points"),
 ], ids=["catalog-rejects", "malformed-json", "missing-file",
-        "wrong-length", "bad-ext-budget", "bad-model", "witness-algebra"])
+        "wrong-length", "bad-ext-budget", "bad-model", "witness-algebra",
+        "witness-empty-algebra", "stdin-empty-algebra", "stdin-algebra-int",
+        "float-entry", "witness-float", "string-vector"])
 def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
-                                       argv, env, named):
+                                       argv, env, stdin, named):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out = run(capsys, argv)
     assert code == 1
@@ -199,3 +218,19 @@ def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
     assert isinstance(data, dict) and data["error"] == "domain"
     # the message names the input (for sl:1 it is the catalog's own)
     assert named in data["message"]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader is gone before the first write, as with `| head -c 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(liepar.__file__).parent.parent))
+    with os.fdopen(write_end, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liepar.cli", "building", "--model",
+             "A:2", "--table"],
+            stdout=out, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == b""  # no BrokenPipeError traceback

@@ -118,19 +118,15 @@ def test_octahedron_counts(octahedron):
 
 
 def test_projection_rejects_non_weakly_opposite():
-    from liepar.catalog import standard_borel
-    from liepar.config import (
-        _action_stabilizer,
-        _span,
-        make_parabolic,
-    )
+    from liepar.catalog import FlagSpec, flag_stabilizer
+    from liepar.config import _span
 
     g = gl(3)
     cfg = simplex_configuration(g, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     # center through a frame point: some elements are not weakly
     # opposite to it
     line = _span(3, [(1, 0, 0)])
-    q = make_parabolic(g, _action_stabilizer(g, [line]))
+    q = flag_stabilizer(g, FlagSpec(3, [line]))
     with pytest.raises(DomainError):
         project_configuration(q, cfg)
 

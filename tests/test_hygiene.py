@@ -9,9 +9,27 @@ import liepar
 
 MODULES = sorted(Path(liepar.__file__).parent.glob("*.py"))
 
+# private name -> the one module that may use it; the others go through
+# its public callers (rref / kernel / solve / Subspace for _rref_rows,
+# flag_stabilizer / frame_levi for _action_stabilizer)
+OWNER = {"_rref_rows": "ratmat.py", "_action_stabilizer": "catalog.py"}
+
 
 def tree(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def outside(name):
+    return [p for p in MODULES if p.name != OWNER[name]]
+
+
+def uses(path, name):
+    return [
+        n.lineno for n in ast.walk(tree(path))
+        if (isinstance(n, ast.alias) and n.name == name)
+        or (isinstance(n, ast.Name) and n.id == name)
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -22,15 +40,26 @@ def test_no_assert_statements(path):
     assert lines == [], "%s: assert at lines %s" % (path.name, lines)
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ratmat.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_attribute_probes(path):
+    # every attribute is declared where its object is built, so none is
+    # probed for or stuck on afterwards
+    lines = [n.lineno for n in ast.walk(tree(path))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+             and n.func.id in ("getattr", "hasattr", "setattr")]
+    assert lines == [], "%s: attribute probes at lines %s" % (path.name,
+                                                              lines)
+
+
+@pytest.mark.parametrize("path", outside("_rref_rows"), ids=lambda p: p.name)
 def test_elimination_only_through_ratmat_calls(path):
-    # the Gauss-Jordan core stays private to ratmat; other modules go
-    # through rref / kernel / solve / Subspace
-    uses = [
-        n.lineno for n in ast.walk(tree(path))
-        if (isinstance(n, ast.alias) and n.name == "_rref_rows")
-        or (isinstance(n, ast.Name) and n.id == "_rref_rows")
-        or (isinstance(n, ast.Attribute) and n.attr == "_rref_rows")
-    ]
-    assert uses == [], "%s: _rref_rows at lines %s" % (path.name, uses)
+    lines = uses(path, "_rref_rows")
+    assert lines == [], "%s: _rref_rows at lines %s" % (path.name, lines)
+
+
+@pytest.mark.parametrize("path", outside("_action_stabilizer"),
+                         ids=lambda p: p.name)
+def test_stabilizers_only_through_catalog_calls(path):
+    lines = uses(path, "_action_stabilizer")
+    assert lines == [], "%s: _action_stabilizer at lines %s" % (path.name,
+                                                                 lines)
