@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+import time
 from fractions import Fraction as Q
 
 from .building import (
@@ -422,13 +423,17 @@ CRITERIA = [
 
 
 def run_all(report=print):
+    """Run every criterion and report one line each, ending with its
+    wall time."""
     ok_all = True
     for i, (name, fn) in enumerate(CRITERIA, 1):
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except (DomainError, InternalCheckError) as e:
             ok, detail = False, "%s: %s" % (type(e).__name__, e)
         ok_all = ok_all and ok
-        report("criterion %d (%s): %s - %s"
-               % (i, name, "PASS" if ok else "FAIL", detail))
+        report("criterion %d (%s): %s - %s [%.2f s]"
+               % (i, name, "PASS" if ok else "FAIL", detail,
+                  time.perf_counter() - start))
     return ok_all

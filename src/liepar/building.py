@@ -436,16 +436,26 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
     )
 
     g = pb.ambient
+    own = base_ss is not None and pb == base_ss.chamber
+    if own:
+        pb = base_ss.chamber  # carries its filtration already
     l = common_levi(pb, pc, check_complement=True)
-    sub, _, _ = g.restrict(l)
-    if sub.bracket_spaces(sub.full_space(), sub.full_space()).dim != 0:
-        raise DomainError("common Levi not abelian; split part"
-                          " extraction not implemented for this case")
-    rd = root_decomposition(g, l)
-    if rd.levi != l:
-        raise InternalCheckError("common Levi is not its own"
-                                 " centralizer's zero part")
-    ss = simple_system(rd, pb)
+    if own and l == base_ss.rd.cartan and l == base_ss.rd.levi:
+        # root_decomposition(g, l) and simple_system(rd, pb) would
+        # rebuild base_ss from its own inputs; a Cartan is abelian
+        ss = base_ss
+    else:
+        sub, _, _ = g.restrict(l)
+        if sub.bracket_spaces(sub.full_space(),
+                              sub.full_space()).dim != 0:
+            raise DomainError("common Levi not abelian; split part"
+                              " extraction not implemented for this"
+                              " case")
+        rd = root_decomposition(g, l)
+        if rd.levi != l:
+            raise InternalCheckError("common Levi is not its own"
+                                     " centralizer's zero part")
+        ss = simple_system(rd, pb)
     word = weyl_word(ss, pc)
     if base_ss is None:
         order = list(range(len(ss.simples)))

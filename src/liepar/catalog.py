@@ -18,7 +18,7 @@ from .errors import DomainError, InternalCheckError
 from .liealg import LieAlgebra, _flat
 from .building import IncidenceSystem
 from .parabolic import ParabolicData, make_parabolic
-from .ratmat import Matrix, Subspace, kernel, solve
+from .ratmat import Matrix, Subspace, kernel, lincomb, solve
 from .rootdata import (
     SimpleSystem,
     parabolic_from_subset,
@@ -262,12 +262,11 @@ def flag_from_parabolic(p: ParabolicData) -> FlagSpec:
     g = p.ambient
     form = entry(g).form
     sz = realization_size(g)
+    flats = [_flat(r) for r in g.realization]
     nil_mats = []
     for v in p.nilradical.vectors():
-        m = Matrix.zero(sz, sz)
-        for c, r in zip(v, g.realization):
-            m = m + r.scale(c)
-        nil_mats.append(m)
+        m = lincomb(v, flats, sz * sz)
+        nil_mats.append(Matrix(m[i:i + sz] for i in range(0, sz * sz, sz)))
     chain = []
     cur = Subspace.full(sz)
     while cur.dim > 0:

@@ -318,20 +318,26 @@ class LieAlgebra:
         flat = Subspace(sz * sz, Matrix([r[:sz * sz] for r in red]))
         to_mats = Matrix([r[sz * sz:] for r in red]).transpose()
         coords_cache = {}
+        comms = {}
 
-        def coords(m):
+        def coords(i, j):
+            m = comms[i, j] = _flat(mats[i] * mats[j] - mats[j] * mats[i])
             if m not in coords_cache:
-                cs = flat.coordinates_of(_flat(m))
+                cs = flat.coordinates_of(m)
                 if cs is None:
                     raise DomainError("family not closed under commutator")
                 coords_cache[m] = to_mats.mulvec(cs)
             return coords_cache[m]
 
-        structure = _antisymmetric_fill(
-            n, lambda i, j: coords(mats[i] * mats[j] - mats[j] * mats[i]))
-        return LieAlgebra(structure, labels=labels, realization=mats)
+        g = LieAlgebra(_antisymmetric_fill(n, coords), labels=labels,
+                       realization=mats, validate=False)
+        g._validate(comms)
+        return g
 
-    def _validate(self):
+    def _validate(self, commutators=None):
+        """Antisymmetry, Jacobi and, with a realization, [r_i, r_j] =
+        Σ_k c_ij^k r_k; ``commutators`` maps each i < j to the already
+        formed _flat([r_i, r_j])."""
         c = self.structure
         n = self.dim
         for i in range(n):
@@ -364,7 +370,8 @@ class LieAlgebra:
                 ri = self.realization[i]
                 for j in range(i + 1, n):
                     rj = self.realization[j]
-                    comm = _flat(ri * rj - rj * ri)
+                    comm = (_flat(ri * rj - rj * ri) if commutators is None
+                            else commutators[i, j])
                     want = {}
                     for k, x in sp.get((i, j), ()):
                         for e, y in flats[k]:

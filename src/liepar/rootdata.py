@@ -452,14 +452,12 @@ def levi_transport(pb: ParabolicData, xi_from, xi_to) -> Matrix:
     raise InternalCheckError("Levi transport did not converge")
 
 
-def type_of_any(ss: SimpleSystem, p: ParabolicData):
-    """Type of an arbitrary parabolic relative to the base simple
-    system: transport a common Levi with the base chamber onto ml by
-    a unipotent automorphism, then standardize combinatorially.  The
-    transport is inner, so the result is the adjoint-orbit type."""
+def _transport_to_ml(ss: SimpleSystem, l: Subspace):
+    """Subspace ↦ its image under the u ∈ exp(nil(pb)) carrying l, a
+    common Levi of some parabolic and the base chamber pb, onto ml;
+    the identity when l is already ml."""
     g = ss.rd.ambient
     pb = ss.chamber
-    l = common_levi(p, pb)
     if l.dim != ss.rd.levi.dim:
         raise InternalCheckError("common Levi has wrong dimension")
     if l.sum(pb.nilradical) != pb.space or \
@@ -467,7 +465,7 @@ def type_of_any(ss: SimpleSystem, p: ParabolicData):
         raise InternalCheckError("common Levi not a complement in the"
                                  " base chamber")
     if l == ss.rd.levi:
-        return standardize_type(ss, p.space)
+        return lambda space: space
     xi_from, _ = grading_lift(pb, l)
     xi_to, _ = grading_lift(pb, ss.rd.levi)
     # the two lifts may differ by a central element (z(g) sits in both
@@ -482,17 +480,37 @@ def type_of_any(ss: SimpleSystem, p: ParabolicData):
                                      " nil(pb) + z(g)")
         xi_to = vec_sub(xi_to, lincomb(res[0][len(nb):], zb, g.dim))
     u = levi_transport(pb, xi_from, xi_to)
-    moved = g.apply_auto(u, p.space)
-    return standardize_type(ss, moved)
+    return lambda space: g.apply_auto(u, space)
+
+
+def type_of_any(ss: SimpleSystem, p: ParabolicData):
+    """Type of an arbitrary parabolic relative to the base simple
+    system: transport a common Levi with the base chamber onto ml by
+    a unipotent automorphism, then standardize combinatorially.  The
+    transport is inner, so the result is the adjoint-orbit type."""
+    move = _transport_to_ml(ss, common_levi(p, ss.chamber))
+    return standardize_type(ss, move(p.space))
 
 
 def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
     """{α: the base type of q^α} for each simple α of ss: the
     adjoint-orbit type, relative to base_ss, of the maximal parabolic
-    that α alone crosses."""
+    that α alone crosses.
+
+    One transport serves every α.  Let l be the common Levi of
+    ss.chamber and the base chamber, and u the inner automorphism with
+    u·l = ml.  Each q^α contains ss.chamber, which contains l, so
+    u·q^α ⊇ u·l = ml; and u is inner, so u·q^α has the adjoint-orbit
+    type of q^α, which standardize_type reads off its root set.  So
+    the answer is type_of_any(base_ss, q^α), without the common Levi of
+    q^α, its two grading lifts and the filtration of q^α per α.
+    """
+    move = _transport_to_ml(base_ss,
+                            common_levi(ss.chamber, base_ss.chamber))
     out = {}
     for alpha in ss.simples:
-        t = type_of_any(base_ss, parabolic_from_subset(ss, {alpha}))
+        q = parabolic_from_subset(ss, {alpha})
+        t = standardize_type(base_ss, move(q.space))
         if len(t) != 1:
             raise InternalCheckError("maximal parabolic with non-"
                                      "singleton type")

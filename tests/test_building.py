@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import liepar.rootdata as rootdata
 from liepar.building import (
     ChamberSystem,
     IncidenceSystem,
@@ -32,7 +33,7 @@ from liepar.catalog import (
     standard_simple_system,
 )
 from liepar.errors import DomainError
-from liepar.parabolic import opposite
+from liepar.parabolic import make_parabolic, opposite
 from liepar.ratmat import Subspace
 
 
@@ -121,6 +122,36 @@ def test_delta_parabolic_so32():
     pb = standard_borel(g)
     ss = standard_simple_system(g)
     assert len(delta_parabolic(pb, opposite(pb), ss)) == 4
+
+
+@pytest.mark.parametrize("make,word", [(lambda: gl(3), (0, 1, 0)),
+                                       (lambda: so(3, 2), (0, 1, 0, 1))],
+                         ids=["gl3", "so32"])
+def test_delta_parabolic_from_an_equal_base_chamber(make, word,
+                                                    monkeypatch):
+    g = make()
+    ss = standard_simple_system(g)
+    pb = make_parabolic(g, Subspace.from_vectors(
+        g.dim, ss.chamber.space.vectors()))
+    assert pb == ss.chamber and pb is not ss.chamber
+    pc = opposite(ss.chamber, ss.xi)
+    assert delta_parabolic(ss.chamber, pc, ss) == word
+    # the base chamber's own root datum and simple system serve it
+    def rebuilt(*args):
+        raise AssertionError("base root datum recomputed")
+
+    monkeypatch.setattr(rootdata, "root_decomposition", rebuilt)
+    monkeypatch.setattr(rootdata, "simple_system", rebuilt)
+    assert delta_parabolic(pb, pc, ss) == word
+
+
+def test_delta_parabolic_so31_is_not_split():
+    # ml = a + so(2) is abelian but larger than the split Cartan a, so
+    # the base simple system must not stand in for the local one
+    g = so(3, 1)
+    ss = standard_simple_system(g)
+    with pytest.raises(DomainError, match="not split"):
+        delta_parabolic(ss.chamber, opposite(ss.chamber, ss.xi), ss)
 
 
 def triangle():

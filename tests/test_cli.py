@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -234,3 +236,27 @@ def test_closed_stdout_exits_1_without_traceback():
         )
     assert proc.returncode == 1
     assert proc.stderr == b""  # no BrokenPipeError traceback
+
+
+def test_selftest_reports_each_criterion_with_its_wall_time(capsys,
+                                                            monkeypatch):
+    from liepar import acceptance
+    from liepar.errors import DomainError
+
+    def slow():
+        time.sleep(0.05)
+        return True, "slept"
+
+    def broken():
+        raise DomainError("no answer")
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [("slow", slow), ("broken", broken)])
+    code, out = run(capsys, ["selftest"])
+    first, second = out.splitlines()
+    assert code == 1
+    m = re.fullmatch(r"criterion 1 \(slow\): PASS - slept \[(\d+\.\d\d) s\]",
+                     first)
+    assert m and float(m.group(1)) >= 0.05
+    assert re.fullmatch(r"criterion 2 \(broken\): FAIL - DomainError: no"
+                        r" answer \[\d+\.\d\d s\]", second)

@@ -11,8 +11,10 @@ MODULES = sorted(Path(liepar.__file__).parent.glob("*.py"))
 
 # private name -> the one module that may use it; the others go through
 # its public callers (rref / kernel / solve / Subspace for _rref_rows,
-# flag_stabilizer / frame_levi for _action_stabilizer)
-OWNER = {"_rref_rows": "ratmat.py", "_action_stabilizer": "catalog.py"}
+# flag_stabilizer / frame_levi for _action_stabilizer, type_of_any /
+# base_types for _transport_to_ml)
+OWNER = {"_rref_rows": "ratmat.py", "_action_stabilizer": "catalog.py",
+         "_transport_to_ml": "rootdata.py"}
 
 
 def tree(path):
@@ -63,3 +65,11 @@ def test_stabilizers_only_through_catalog_calls(path):
     lines = uses(path, "_action_stabilizer")
     assert lines == [], "%s: _action_stabilizer at lines %s" % (path.name,
                                                                  lines)
+
+
+@pytest.mark.parametrize("path", outside("_transport_to_ml"),
+                         ids=lambda p: p.name)
+def test_base_transport_only_through_rootdata_calls(path):
+    lines = uses(path, "_transport_to_ml")
+    assert lines == [], "%s: _transport_to_ml at lines %s" % (path.name,
+                                                               lines)

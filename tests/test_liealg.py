@@ -236,6 +236,22 @@ def test_from_matrices_rejects_bad_families():
         LieAlgebra.from_matrices([E(2, 0, 1), E(2, 1, 0)])
 
 
+def test_from_matrices_checks_its_coordinates_on_the_commutators(
+        monkeypatch):
+    # doubled coordinates keep antisymmetry and Jacobi; only the
+    # realization check against the formed commutators can see them
+    solve_coords = Subspace.coordinates_of
+
+    def doubled(self, v):
+        cs = solve_coords(self, v)
+        return None if cs is None else tuple(2 * x for x in cs)
+
+    monkeypatch.setattr(Subspace, "coordinates_of", doubled)
+    with pytest.raises(DomainError, match=r"disagrees .* at \(0,1\)"):
+        LieAlgebra.from_matrices([E(2, 0, 1), E(2, 1, 0),
+                                  E(2, 0, 0) - E(2, 1, 1)])
+
+
 def test_from_matrices_matches_commutators():
     mats = [E(2, 0, 1), E(2, 1, 0), E(2, 0, 0) - E(2, 1, 1)]
     g = LieAlgebra.from_matrices(mats)

@@ -11,7 +11,9 @@ from liepar.catalog import (
 )
 from liepar.errors import DomainError
 from liepar.parabolic import conjugate_parabolic, opposite
+from liepar.ratmat import lincomb
 from liepar.rootdata import (
+    base_types,
     duality_involution,
     parabolic_from_subset,
     root_decomposition,
@@ -165,3 +167,39 @@ def test_root_decomposition_rejects_non_toral():
     nil = cat.standard_borel(g).nilradical
     with pytest.raises(DomainError):
         root_decomposition(g, nil)
+
+
+def conjugated_system(ss, u):
+    """The simple system of u·chamber over the root datum of u·a."""
+    g = ss.rd.ambient
+    rd = root_decomposition(g, g.apply_auto(u, ss.rd.cartan))
+    return simple_system(rd, conjugate_parabolic(ss.chamber, u))
+
+
+@pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2)],
+                         ids=["gl3", "so32"])
+def test_base_types_matches_type_of_any_per_simple(make):
+    g = make()
+    base = standard_simple_system(g)
+    rd = base.rd
+    pos = sorted(base.positive_roots())
+    neg = sorted(base.negative_roots())
+    e, e2 = (rd.root_spaces[a].vectors()[0] for a in (pos[0], pos[-1]))
+    f = rd.root_spaces[neg[0]].vectors()[0]
+    systems = [
+        base,
+        simple_system(rd, opposite(base.chamber, base.xi)),
+        conjugated_system(base, g.exp_ad(e)),
+        conjugated_system(base, g.exp_ad(f) * g.exp_ad(e)),
+        # e - e2 lies in the nilradical of the opposite chamber
+        conjugated_system(base, g.exp_ad(lincomb((1, -1), (e, e2), g.dim))),
+    ]
+    assert base_types(base, base) == {a: a for a in base.simples}
+    for ss in systems:
+        # reference: one common Levi and transport per local simple
+        want = {}
+        for a in ss.simples:
+            (want[a],) = type_of_any(base, parabolic_from_subset(ss, {a}))
+        assert base_types(ss, base) == want
+    # the conjugates really leave the standard apartment
+    assert not systems[2].chamber.space.contains(rd.levi)
