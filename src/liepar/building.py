@@ -462,7 +462,12 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
         return canonical_word(ss, word, order)
     # canonical generator order: sort local simples by the base-system
     # type of their maximal parabolic
-    labels = list(base_types(ss, base_ss).values())
+    if ss is base_ss:
+        # each q^α contains base_ss.chamber ⊇ ml, so it is already in
+        # standard position and its type is {α}; no transport is needed
+        labels = list(ss.simples)
+    else:
+        labels = list(base_types(ss, base_ss).values())
     base_order = list(base_ss.simples)
     order = sorted(range(len(ss.simples)),
                    key=lambda i: base_order.index(labels[i]))

@@ -16,15 +16,12 @@ from itertools import chain, combinations
 
 from .errors import DomainError, InternalCheckError
 from .liealg import LieAlgebra, _flat
-from .building import IncidenceSystem
 from .parabolic import ParabolicData, make_parabolic
 from .ratmat import Matrix, Subspace, kernel, lincomb, solve
-from .rootdata import (
-    SimpleSystem,
-    parabolic_from_subset,
-    root_decomposition,
-    simple_system,
-)
+
+# building and rootdata are imported by the functions that use them, so
+# a process that only builds an algebra or checks a subspace never loads
+# (nor, without bytecode caches, compiles) them
 
 __all__ = [
     "gl",
@@ -303,6 +300,8 @@ def flag_from_parabolic(p: ParabolicData) -> FlagSpec:
 
 def standard_minimal_levi(g: LieAlgebra):
     """(minimal Levi subspace, RootDatum on the split part)."""
+    from .rootdata import root_decomposition
+
     e = entry(g)
     if e.minimal_levi is None:
         a = Subspace.from_vectors(
@@ -320,7 +319,11 @@ def standard_borel(g: LieAlgebra) -> ParabolicData:
         g, FlagSpec(realization_size(g), e.flag, form=e.form))
 
 
-def standard_simple_system(g: LieAlgebra) -> SimpleSystem:
+def standard_simple_system(g: LieAlgebra):
+    """The SimpleSystem of the standard Borel over the standard minimal
+    Levi, built once per algebra."""
+    from .rootdata import simple_system
+
     e = entry(g)
     if e.simple_system is None:
         _, rd = standard_minimal_levi(g)
@@ -329,12 +332,16 @@ def standard_simple_system(g: LieAlgebra) -> SimpleSystem:
 
 
 def standard_parabolic(g: LieAlgebra, J) -> ParabolicData:
+    from .rootdata import parabolic_from_subset
+
     return parabolic_from_subset(standard_simple_system(g), J)
 
 
 def all_standard_parabolics(g: LieAlgebra):
     """All 2^rank standard parabolics over the standard Borel, keyed
     by type subset."""
+    from .rootdata import parabolic_from_subset
+
     ss = standard_simple_system(g)
     out = {}
     for r in range(len(ss.simples) + 1):
@@ -347,9 +354,11 @@ def all_standard_parabolics(g: LieAlgebra):
 # combinatorial incidence models
 
 
-def incidence_model_subsets(n: int) -> IncidenceSystem:
+def incidence_model_subsets(n: int):
     """Proper nonempty subsets of an (n+1)-set, typed by cardinality,
-    incident iff comparable under containment."""
+    incident iff comparable under containment: an IncidenceSystem."""
+    from .building import IncidenceSystem
+
     if n < 1:
         raise DomainError("n must be >= 1")
     base = range(1, n + 2)
@@ -364,9 +373,12 @@ def incidence_model_subsets(n: int) -> IncidenceSystem:
     return IncidenceSystem(types, edges)
 
 
-def incidence_model_admissible(n: int) -> IncidenceSystem:
+def incidence_model_admissible(n: int):
     """Nonempty admissible signed subsets of {±1..±n} (no index with
-    both signs), typed by cardinality, incident iff comparable."""
+    both signs), typed by cardinality, incident iff comparable: an
+    IncidenceSystem."""
+    from .building import IncidenceSystem
+
     if n < 1:
         raise DomainError("n must be >= 1")
     els = []

@@ -23,7 +23,8 @@ def _parse_algebra(spec: str):
 
     if spec == "-":
         try:
-            data = json.load(sys.stdin)
+            # sys.stdin is None when the process started with it closed
+            data = json.load(sys.stdin) if sys.stdin else None
         except json.JSONDecodeError:
             data = None
         spec = _algebra_spec(data, "stdin")
@@ -76,6 +77,9 @@ def _load_json(arg, what):
         except OSError as e:
             raise DomainError("%s: cannot read %s (%s)"
                               % (what, arg[1:], e.strerror)) from None
+        except UnicodeDecodeError:
+            raise DomainError("%s: %s is not UTF-8 text"
+                              % (what, arg[1:])) from None
     else:
         text = arg
     try:
@@ -362,8 +366,17 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: a DomainError, not argparse's exit 2
+    (the internal-check code) with the usage on stderr.  Subparsers are
+    built with the parser's own class, so they raise it too."""
+
+    def error(self, message):
+        raise DomainError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="liepar",
         description="exact-arithmetic parabolic subalgebras, root"
                     " data, and chamber systems",
@@ -434,10 +447,9 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
         try:
+            args = build_parser().parse_args(argv)
             code = args.fn(args)
         except DomainError as e:
             _emit({"error": "domain", "message": str(e)})

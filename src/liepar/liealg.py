@@ -317,17 +317,14 @@ class LieAlgebra:
             raise DomainError("matrices not linearly independent")
         flat = Subspace(sz * sz, Matrix([r[:sz * sz] for r in red]))
         to_mats = Matrix([r[sz * sz:] for r in red]).transpose()
-        coords_cache = {}
         comms = {}
 
         def coords(i, j):
             m = comms[i, j] = _flat(mats[i] * mats[j] - mats[j] * mats[i])
-            if m not in coords_cache:
-                cs = flat.coordinates_of(m)
-                if cs is None:
-                    raise DomainError("family not closed under commutator")
-                coords_cache[m] = to_mats.mulvec(cs)
-            return coords_cache[m]
+            cs = flat.coordinates_of(m)
+            if cs is None:
+                raise DomainError("family not closed under commutator")
+            return to_mats.mulvec(cs)
 
         g = LieAlgebra(_antisymmetric_fill(n, coords), labels=labels,
                        realization=mats, validate=False)

@@ -21,7 +21,6 @@ __all__ = [
     "rref",
     "kernel",
     "solve",
-    "vec_add",
     "vec_sub",
     "vec_scale",
     "vec_is_zero",
@@ -38,10 +37,6 @@ def _frac_row(row: Iterable) -> tuple:
 
 def zero_vec(n: int) -> tuple:
     return (Q(0),) * n
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
@@ -85,19 +80,14 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        m = Matrix.__new__(Matrix)
-        m.data = tuple((_ZERO,) * cols for _ in range(rows))
-        m.rows, m.cols = rows, cols
-        return m
+        return _matrix(tuple((_ZERO,) * cols for _ in range(rows)),
+                       rows, cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        m = Matrix.__new__(Matrix)
-        m.data = tuple(
+        return _matrix(tuple(
             tuple(Q(1) if i == j else _ZERO for j in range(n)) for i in range(n)
-        )
-        m.rows = m.cols = n
-        return m
+        ), n, n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -123,22 +113,27 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(vec_add(a, b) for a, b in zip(self.data, other.data))
-        )
+        return _matrix(tuple(
+            tuple(a + b if b else a for a, b in zip(r, s))
+            for r, s in zip(self.data, other.data)
+        ), self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(vec_sub(a, b) for a, b in zip(self.data, other.data))
-        )
+        return _matrix(tuple(
+            tuple(a - b if b else a for a, b in zip(r, s))
+            for r, s in zip(self.data, other.data)
+        ), self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(vec_scale(-1, r) for r in self.data))
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(tuple(vec_scale(c, r) for r in self.data))
+        c = Q(c)
+        # a zero entry stays itself, so scale(0) is still all zeros
+        return _matrix(tuple(tuple(c * a if a else a for a in r)
+                             for r in self.data), self.rows, self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -159,10 +154,7 @@ class Matrix:
                         else:
                             acc[j] = a * b
             out.append(tuple(acc.get(j, _ZERO) for j in range(ncols)))
-        m = Matrix.__new__(Matrix)
-        m.data = tuple(out)
-        m.rows, m.cols = self.rows, ncols
-        return m
+        return _matrix(tuple(out), self.rows, ncols)
 
     def mulvec(self, v: Sequence[Fraction]) -> tuple:
         if len(v) != self.cols:
@@ -181,10 +173,8 @@ class Matrix:
     def transpose(self) -> "Matrix":
         # Matrix(cols).transpose() is the matrix whose columns are cols;
         # an r×0 matrix transposes to 0×r, and the entries are shared
-        m = Matrix.__new__(Matrix)
-        m.data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        m.rows, m.cols = self.cols, self.rows
-        return m
+        return _matrix(tuple(zip(*self.data)) if self.rows
+                       else ((),) * self.cols, self.cols, self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -222,6 +212,15 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % ([[str(x) for x in r] for r in self.data],)
+
+
+def _matrix(data: tuple, rows: int, cols: int) -> Matrix:
+    """A Matrix of the given shape on rows of Fractions, which are
+    taken as they are: nothing is copied or coerced."""
+    m = Matrix.__new__(Matrix)
+    m.data = data
+    m.rows, m.cols = rows, cols
+    return m
 
 
 def _rref_rows(rows: Iterable[Sequence[Fraction]]) -> list:
@@ -265,11 +264,7 @@ def _rref_rows(rows: Iterable[Sequence[Fraction]]) -> list:
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form, zero rows dropped."""
     out = _rref_rows(m.data)
-    mat = Matrix.__new__(Matrix)
-    mat.data = tuple(tuple(r) for r in out)
-    mat.rows = len(out)
-    mat.cols = m.cols
-    return mat
+    return _matrix(tuple(tuple(r) for r in out), len(out), m.cols)
 
 
 def _pivot_cols(rref_rows) -> list:
@@ -282,27 +277,43 @@ def _pivot_cols(rref_rows) -> list:
     return piv
 
 
-def kernel(m: Matrix) -> "Subspace":
-    """Null space {x : m·x = 0} as a Subspace of dimension m.cols."""
-    red = _rref_rows(m.data)
-    piv = _pivot_cols(red)
+def _null_space(red, piv, n: int) -> "Subspace":
+    """Null space, in dimension n, of the system whose RREF rows are red
+    (pivots piv); the rows may carry extra columns after the n-th."""
     pivset = set(piv)
-    free = [c for c in range(m.cols) if c not in pivset]
     basis = []
-    for f in free:
-        v = [Q(0)] * m.cols
+    for f in range(n):
+        if f in pivset:
+            continue
+        v = [_ZERO] * n
         v[f] = Q(1)
         # back-substitute pivot coordinates
         for r, p in zip(red, piv):
             v[p] = -r[f]
         basis.append(v)
-    return Subspace.from_vectors(m.cols, basis)
+    return Subspace.from_vectors(n, basis)
+
+
+def kernel(m: Matrix) -> "Subspace":
+    """Null space {x : m·x = 0} as a Subspace of dimension m.cols."""
+    red = _rref_rows(m.data)
+    return _null_space(red, _pivot_cols(red), m.cols)
 
 
 def solve(a: Matrix, b: Sequence[Fraction]):
     """Exact solution set of a·x = b.
 
     Returns (particular, kernel_subspace) or None when inconsistent.
+
+    One elimination serves both.  Let R = RREF([a | b]).  When the
+    system is consistent, no row of R has its pivot in the last column,
+    so the left blocks of R's rows are nonzero, with leading ones in
+    increasing columns that are zero elsewhere in their column: the
+    left block L is in reduced row-echelon form.  Row operations on
+    [a | b] act on a alone in the left block, and the rows dropped as
+    zero are zero there too, so L spans the row space of a.  The RREF
+    of a matrix is unique, hence L = RREF(a), and the kernel read off
+    R is kernel(a), built by the same back-substitution.
     """
     if len(b) != a.rows:
         raise ValueError("shape mismatch")
@@ -313,7 +324,7 @@ def solve(a: Matrix, b: Sequence[Fraction]):
     x = [Q(0)] * a.cols
     for r, p in zip(red, piv):
         x[p] = r[-1]
-    return tuple(x), kernel(a)
+    return tuple(x), _null_space(red, piv, a.cols)
 
 
 class Subspace:
@@ -341,11 +352,8 @@ class Subspace:
             if len(r) != ambient_dim:
                 raise ValueError("ambient mismatch")
         red = _rref_rows(rows)
-        mat = Matrix.__new__(Matrix)
-        mat.data = tuple(tuple(r) for r in red)
-        mat.rows = len(red)
-        mat.cols = ambient_dim
-        return Subspace(ambient_dim, mat)
+        return Subspace(ambient_dim, _matrix(tuple(tuple(r) for r in red),
+                                             len(red), ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

@@ -141,11 +141,13 @@ def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
                 "Cartan subspace not split (ad not rationally"
                 " diagonalizable)"
             )
+        eigen = [(lam, kernel(m - ident.scale(lam)))
+                 for lam in sorted(set(roots_h))]
         nxt = []
         for space, vals in components:
             found = 0
-            for lam in sorted(set(roots_h)):
-                es = space.intersect(kernel(m - ident.scale(lam)))
+            for lam, ker in eigen:
+                es = space.intersect(ker)
                 if es.dim:
                     nxt.append((es, vals + (lam,)))
                     found += es.dim

@@ -145,6 +145,24 @@ def test_delta_parabolic_from_an_equal_base_chamber(make, word,
     assert delta_parabolic(pb, pc, ss) == word
 
 
+@pytest.mark.parametrize("make,word", [(lambda: gl(3), (0, 1, 0)),
+                                       (lambda: so(3, 2), (0, 1, 0, 1))],
+                         ids=["gl3", "so32"])
+def test_delta_parabolic_from_the_base_chamber_transports_nothing(
+        make, word, monkeypatch):
+    g = make()
+    ss = standard_simple_system(g)
+    pb = standard_borel(g)
+    # the base system labels its own simples: base_types would transport
+    # the base chamber onto itself
+    def transported(*args):
+        raise AssertionError("base chamber transported onto itself")
+
+    monkeypatch.setattr(rootdata, "base_types", transported)
+    assert delta_parabolic(pb, opposite(pb), ss) == word
+    assert delta_parabolic(pb, pb, ss) == ()
+
+
 def test_delta_parabolic_so31_is_not_split():
     # ml = a + so(2) is abelian but larger than the split Cartan a, so
     # the base simple system must not stand in for the local one

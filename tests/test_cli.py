@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liepar
 from liepar.cli import main
@@ -202,17 +205,28 @@ def test_space_from_file(tmp_path, capsys):
                 ' "center": [[1, 1]]}'], {}, None, "witness points: 1.5"),
     (["config", '{"algebra": ["gl", 2], "points": ["10", "01"],'
                 ' "center": [[1, 1]]}'], {}, None, "witness points"),
+    (["check", "gl:2", "--space", "@{tmp}/latin1.json"], {}, None,
+     "--space: {tmp}/latin1.json is not UTF-8"),
+    (["make", "-"], {}, "closed", "stdin"),
+    # usage errors: argparse would print to stderr and exit 2
+    (["make"], {}, None, "required: algebra"),
+    (["bogus"], {}, None, "invalid choice: 'bogus'"),
 ], ids=["catalog-rejects", "malformed-json", "missing-file",
         "wrong-length", "bad-ext-budget", "bad-model", "witness-algebra",
         "witness-empty-algebra", "stdin-empty-algebra", "stdin-algebra-int",
-        "float-entry", "witness-float", "string-vector"])
+        "float-entry", "witness-float", "string-vector", "not-utf8-file",
+        "closed-stdin", "missing-algebra", "unknown-verb"])
 def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
                                        argv, env, stdin, named):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        # a process started with stdin closed has sys.stdin None
+        monkeypatch.setattr("sys.stdin", None if stdin == "closed"
+                            else io.StringIO(stdin))
+    (tmp_path / "latin1.json").write_bytes("[[\"½\"]]".encode("latin-1"))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    named = named.replace("{tmp}", str(tmp_path))
     code, out = run(capsys, argv)
     assert code == 1
     # json.loads rejects anything after the first object
@@ -260,3 +274,87 @@ def test_selftest_reports_each_criterion_with_its_wall_time(capsys,
     assert m and float(m.group(1)) >= 0.05
     assert re.fullmatch(r"criterion 2 \(broken\): FAIL - DomainError: no"
                         r" answer \[\d+\.\d\d s\]", second)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["make", "-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: liepar make")
+
+
+@pytest.mark.parametrize("argv", [["make", "gl:2"],
+                                  ["check", "gl:2", "--space", UPPER2]],
+                         ids=["make", "check"])
+def test_cold_make_and_check_load_neither_building_nor_rootdata(argv):
+    code = ("import sys, liepar.cli\n"
+            "code = liepar.cli.main(%r)\n"
+            "print(code, sorted(m for m in ('liepar.building',"
+            " 'liepar.rootdata') if m in sys.modules))" % argv)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(liepar.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+
+
+# the JSON options of each verb; selftest and config are too slow to fuzz
+FUZZ_OPTIONS = {"make": [], "rootdata": [], "building": [],
+                "check": ["--space"], "opposite": ["--space"],
+                "levi": ["--space"], "weyl": ["--space"],
+                "project": ["--p", "--q"], "delta": ["--p", "--q"]}
+# valid algebras of dimension at most 10, with their dimensions
+FUZZ_VALID = {"gl:1": 1, "gl:2": 4, "gl:3": 9, "sl:2": 3, "sl:3": 8,
+              "so:1,1": 1, "so:2,1": 3, "so:2,2": 6, "so:3,1": 6,
+              "so:3,2": 10}
+FUZZ_INVALID = ["gl:0", "sl:1", "so:1,2", "sp:4", "gl", "gl:x", "",
+                "so:3", "gl:2,2", "so:a,b"]
+FUZZ_MALFORMED = ["[[1,2", "{", "", "null", "5", '"x"', "[1, 2]",
+                  "[[0.5, 1]]", "[[true]]", '{"vectors": 3}',
+                  '[["1/0"]]', "@/nonexistent/space.json"]
+
+
+@st.composite
+def fuzz_space(draw, dim):
+    """Malformed JSON, or vectors of the algebra's dimension (of another
+    catalog dimension now and then): none, a few small rational ones,
+    or the whole space."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(FUZZ_MALFORMED))
+    n = dim if dim and draw(st.integers(0, 3)) else \
+        draw(st.sampled_from(sorted(set(FUZZ_VALID.values()))))
+    if draw(st.booleans()):
+        vecs = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        entry = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2",
+                                                              "-1/3"]))
+        vecs = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             max_size=3))
+    return json.dumps(vecs if draw(st.booleans()) else {"vectors": vecs})
+
+
+@st.composite
+def fuzz_argv(draw):
+    verb = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [verb]
+    if draw(st.integers(0, 7)):
+        argv.append(draw(st.one_of(st.sampled_from(sorted(FUZZ_VALID)),
+                                   st.sampled_from(FUZZ_INVALID))))
+    dim = FUZZ_VALID.get(argv[-1])
+    for opt in FUZZ_OPTIONS[verb]:
+        if draw(st.integers(0, 7)):
+            argv += [opt, draw(fuzz_space(dim))]
+    if not draw(st.integers(0, 7)):
+        argv.append(draw(st.sampled_from(["--bogus", "extra"])))
+    return argv
+
+
+@given(fuzz_argv())
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_argv_exits_0_1_or_2_with_one_json_object(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    # json.loads rejects anything after the first object
+    assert isinstance(json.loads(out.getvalue()), dict)

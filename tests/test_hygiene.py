@@ -73,3 +73,34 @@ def test_base_transport_only_through_rootdata_calls(path):
     lines = uses(path, "_transport_to_ml")
     assert lines == [], "%s: _transport_to_ml at lines %s" % (path.name,
                                                                lines)
+
+
+def imported_at_load(path):
+    """Dotted names imported by the statements that run when the module
+    is loaded: its body and class bodies, not function bodies."""
+    names = []
+
+    def visit(nodes):
+        for n in nodes:
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda)):
+                continue
+            if isinstance(n, ast.Import):
+                names.extend(a.name for a in n.names)
+            elif isinstance(n, ast.ImportFrom):
+                prefix = n.module + "." if n.module else ""
+                names.extend(prefix + a.name for a in n.names)
+            else:
+                visit(ast.iter_child_nodes(n))
+
+    visit(tree(path).body)
+    return names
+
+
+def test_catalog_loads_neither_building_nor_rootdata():
+    # `liepar make` and `liepar check` never use them; a cold process
+    # should not pay for importing them
+    path = Path(liepar.__file__).parent / "catalog.py"
+    eager = [name for name in imported_at_load(path)
+             if {"building", "rootdata"} & set(name.split("."))]
+    assert eager == [], "catalog.py imports %s at load" % eager

@@ -201,6 +201,8 @@ def test_sparse_products_equal_dense_reference(ops):
     else:
         x, ker = res
         assert dense_lincomb(x, a.data, k) == tuple(v)
+        # read off the same elimination as the solution
+        assert ker == kernel(cols)
         assert ker.dim == a.rows - span.dim
         for kv in ker.vectors():
             assert vec_is_zero(dense_lincomb(kv, a.data, k))
@@ -215,6 +217,39 @@ def test_sparse_products_equal_dense_reference(ops):
     )
 
 
+@st.composite
+def entrywise_operands(draw):
+    """Two r×c matrices and a scalar, zero and negative ones included."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    scalar = draw(st.one_of(
+        st.sampled_from([0, -1, Q(-2, 3)]),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3)))
+    return draw(sparse_matrices(r, c)), draw(sparse_matrices(r, c)), scalar
+
+
+def entrywise(op, *ms):
+    return tuple(tuple(op(*xs) for xs in zip(*rows))
+                 for rows in zip(*(m.data for m in ms)))
+
+
+@given(entrywise_operands())
+@settings(max_examples=100, deadline=None)
+def test_entrywise_arithmetic_equals_fraction_reference(ops):
+    a, b, c = ops
+    results = [
+        (a + b, entrywise(lambda x, y: x + y, a, b)),
+        (a - b, entrywise(lambda x, y: x - y, a, b)),
+        (a.scale(c), entrywise(lambda x: Q(c) * x, a)),
+        (a.scale(0), entrywise(lambda x: Q(0), a)),
+        (-a, entrywise(lambda x: -x, a)),
+    ]
+    for got, want in results:
+        assert (got.rows, got.cols) == (a.rows, a.cols)
+        assert got.data == want
+        assert all(type(x) is Q for r in got.data for x in r)
+    assert a.scale(0).is_zero()
+
+
 def test_products_reject_shape_mismatch():
     a = Matrix([[1, 0, 2], [0, 0, 1]])
     with pytest.raises(ValueError):
@@ -223,3 +258,8 @@ def test_products_reject_shape_mismatch():
         a.mulvec([Q(1), Q(0)])
     with pytest.raises(ValueError):
         Matrix.zero(0, 2) * Matrix.zero(3, 1)
+    for wrong in (a.transpose(), Matrix.zero(2, 2), Matrix.zero(0, 3)):
+        with pytest.raises(ValueError):
+            a + wrong
+        with pytest.raises(ValueError):
+            a - wrong
