@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
 from .ratmat import (
@@ -237,7 +237,7 @@ class Filtration:
     """Integer-indexed increasing chain of subspaces, constant outside
     [min_index, max_index]."""
 
-    def __init__(self, levels: dict, check: Optional[Callable] = None):
+    def __init__(self, levels: dict):
         self.levels = dict(levels)
         self.min_index = min(self.levels)
         self.max_index = max(self.levels)
@@ -247,8 +247,6 @@ class Filtration:
                 raise DomainError("filtration indices not contiguous")
             if not self.levels[b].contains(self.levels[a]):
                 raise DomainError("filtration not monotone")
-        if check is not None:
-            check(self)
 
     def level(self, k: int) -> Subspace:
         if k < self.min_index:
@@ -259,6 +257,41 @@ class Filtration:
 
     def indices(self):
         return range(self.min_index, self.max_index + 1)
+
+
+def _check_compatibility(g: LieAlgebra, f: Filtration):
+    """Raise InternalCheckError, naming the first failing pair i ≤ j,
+    unless [f^i, f^j] ⊆ f^(i+j) for all i, j in f.indices() (the target
+    index clamped like ``level``).
+
+    Only the pairs that can fail are bracketed; the others hold:
+
+    - [f^i, f^j] = [f^j, f^i] as subspaces ([x, y] = -[y, x]) with the
+      same target f^(j+i), so each unordered pair i ≤ j is tested once;
+    - if f^i = 0 the bracket is 0, contained in any level (f^min_index
+      is 0 for an induced filtration); f^j ⊇ f^i for j ≥ i, so a zero
+      f^j has a zero f^i;
+    - if the target level is all of g, it contains every bracket, and so
+      does every target f^(i+j') ⊇ f^(i+j) with j' ≥ j.
+
+    So the predicate tested is the full pairwise one, not a weaker
+    certificate.
+    """
+    for i in f.indices():
+        fi = f.level(i)
+        if fi.dim == 0:
+            continue
+        for j in range(i, f.max_index + 1):
+            fj, target = f.level(j), f.level(i + j)
+            if target.dim == g.dim:
+                break
+            if not target.contains(g.bracket_spaces(fi, fj)):
+                raise InternalCheckError(
+                    "filtration compatibility fails at (i, j) = (%d, %d):"
+                    " [f^i, f^j] not in f^(i+j); dim f^i = %d,"
+                    " dim f^j = %d, dim f^(i+j) = %d"
+                    % (i, j, fi.dim, fj.dim, target.dim)
+                )
 
 
 class LieAlgebra:
@@ -543,18 +576,9 @@ class LieAlgebra:
             k += 1
             if len(levels) > cap:
                 raise InternalCheckError("filtration failed to stabilize")
-
-        def _check(f):
-            for i in f.indices():
-                for j in f.indices():
-                    br = self.bracket_spaces(f.level(i), f.level(j))
-                    if not f.level(i + j).contains(br):
-                        raise InternalCheckError(
-                            "filtration compatibility fails at (%d,%d)"
-                            % (i, j)
-                        )
-
-        return Filtration(levels, check=_check)
+        f = Filtration(levels)
+        _check_compatibility(self, f)
+        return f
 
     # -- nilpotent cone, Jordan, exp ----------------------------------------
 

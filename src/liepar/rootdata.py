@@ -216,6 +216,7 @@ class SimpleSystem:
         self.simples = tuple(simples)  # ordered Φ¹
         self.fundamental_coweights = fundamental_coweights
         self.fundamental_weights = fundamental_weights
+        self._duality = None  # TypeMap, filled by duality_involution
 
     @property
     def rank(self):
@@ -546,7 +547,10 @@ class TypeMap:
 
 def duality_involution(ss: SimpleSystem) -> TypeMap:
     """op: for each simple α, the type of the opposite of the maximal
-    parabolic q^α, normalized back into the standard chamber."""
+    parabolic q^α, normalized back into the standard chamber.
+    Computed once per simple system."""
+    if ss._duality is not None:
+        return ss._duality
     mapping = {}
     for alpha in ss.simples:
         q = parabolic_from_subset(ss, {alpha})
@@ -559,4 +563,5 @@ def duality_involution(ss: SimpleSystem) -> TypeMap:
     tm = TypeMap(mapping)
     if not tm.is_involution():
         raise InternalCheckError("duality map not an involution")
+    ss._duality = tm
     return tm

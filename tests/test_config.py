@@ -3,7 +3,15 @@ import os
 
 import pytest
 
-from liepar.catalog import gl, so, standard_simple_system
+from liepar import rootdata
+from liepar.catalog import (
+    gl,
+    so,
+    standard_borel,
+    standard_minimal_levi,
+    standard_parabolic,
+    standard_simple_system,
+)
 from liepar.config import (
     center_structures,
     cross_configuration,
@@ -80,6 +88,27 @@ def test_center_structures_nu_standard_center():
     # the quotient has rank 1; nu maps its simple into the base system
     assert len(st.ss0.simples) == 1
     assert st.nu_image() <= set(ss.simples)
+
+
+def test_two_centers_over_one_base_compute_its_duality_once(monkeypatch):
+    g = gl(3)
+    # a fresh base system, so no earlier test has filled its duality
+    ss = rootdata.simple_system(standard_minimal_levi(g)[1],
+                                standard_borel(g))
+    ambients = []
+    real_opposite = rootdata.opposite
+
+    def counting_opposite(q, xi=None):
+        ambients.append(q.ambient)
+        return real_opposite(q, xi)
+
+    # duality_involution makes one opposite per simple root
+    monkeypatch.setattr(rootdata, "opposite", counting_opposite)
+    first = center_structures(standard_parabolic(g, [ss.simples[0]]), ss)
+    second = center_structures(standard_parabolic(g, [ss.simples[1]]), ss)
+    assert sum(a is g for a in ambients) == len(ss.simples)
+    assert rootdata.duality_involution(ss) is rootdata.duality_involution(ss)
+    assert first.nu_image() | second.nu_image() <= set(ss.simples)
 
 
 def test_tetrahedron_report_matches_golden(tetrahedron):

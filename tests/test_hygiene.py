@@ -12,9 +12,11 @@ MODULES = sorted(Path(liepar.__file__).parent.glob("*.py"))
 # private name -> the one module that may use it; the others go through
 # its public callers (rref / kernel / solve / Subspace for _rref_rows,
 # flag_stabilizer / frame_levi for _action_stabilizer, type_of_any /
-# base_types for _transport_to_ml)
+# base_types for _transport_to_ml, induced_filtration for
+# _check_compatibility)
 OWNER = {"_rref_rows": "ratmat.py", "_action_stabilizer": "catalog.py",
-         "_transport_to_ml": "rootdata.py"}
+         "_transport_to_ml": "rootdata.py",
+         "_check_compatibility": "liealg.py"}
 
 
 def tree(path):
@@ -73,6 +75,14 @@ def test_base_transport_only_through_rootdata_calls(path):
     lines = uses(path, "_transport_to_ml")
     assert lines == [], "%s: _transport_to_ml at lines %s" % (path.name,
                                                                lines)
+
+
+@pytest.mark.parametrize("path", outside("_check_compatibility"),
+                         ids=lambda p: p.name)
+def test_filtration_check_only_through_liealg_calls(path):
+    lines = uses(path, "_check_compatibility")
+    assert lines == [], "%s: _check_compatibility at lines %s" % (path.name,
+                                                                   lines)
 
 
 def imported_at_load(path):

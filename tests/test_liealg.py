@@ -1,11 +1,25 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liepar.catalog import element_from_matrix, gl, standard_borel
-from liepar.errors import DomainError
-from liepar.liealg import LieAlgebra, minimal_polynomial
-from liepar.ratmat import Matrix, Subspace
+from liepar.catalog import (
+    all_standard_parabolics,
+    element_from_matrix,
+    gl,
+    so,
+    standard_borel,
+)
+from liepar.errors import DomainError, InternalCheckError
+from liepar.liealg import (
+    Filtration,
+    LieAlgebra,
+    _check_compatibility,
+    minimal_polynomial,
+)
+from liepar.parabolic import conjugate_parabolic, opposite
+from liepar.ratmat import Matrix, Subspace, lincomb
 
 
 def E(n, i, j):
@@ -86,6 +100,107 @@ def test_filtration_rejects_bad_input():
     sl2 = span(g, [E(2, 0, 1), E(2, 1, 0), E(2, 0, 0) - E(2, 1, 1)])
     with pytest.raises(DomainError):
         g.induced_filtration(sl2, g.full_space())
+    n = span(g, [E(2, 0, 1)])
+    with pytest.raises(DomainError, match="not contiguous"):
+        Filtration({-1: n, 1: g.full_space()})
+    with pytest.raises(DomainError, match="not monotone"):
+        Filtration({-1: sl2, 0: n})
+
+
+def pairwise_failures(g, f):
+    """The full pairwise form of the compatibility check, kept as the
+    oracle: every ordered (i, j) with [f^i, f^j] not in f^(i+j)."""
+    return {
+        (i, j) for i in f.indices() for j in f.indices()
+        if not f.level(i + j).contains(g.bracket_spaces(f.level(i),
+                                                        f.level(j)))
+    }
+
+
+def named_pair(g, f):
+    """(i, j) named by the compatibility check, or None if it passes."""
+    try:
+        _check_compatibility(g, f)
+    except InternalCheckError as exc:
+        head = str(exc).split("(i, j) = (")[1].split(")")[0]
+        return tuple(int(k) for k in head.split(", "))
+    return None
+
+
+def conjugated_filtration(spec, k, coeffs):
+    """Filtration of the k-th proper standard parabolic of spec
+    conjugated by exp(ad x), x in the opposite Borel's nilradical with
+    coefficients coeffs (cycled)."""
+    g = gl(3) if spec == "gl3" else so(3, 2)
+    std = all_standard_parabolics(g)
+    proper = [std[J] for J in sorted(std, key=sorted) if std[J].dim < g.dim]
+    p = proper[k % len(proper)]
+    nil = opposite(standard_borel(g)).nilradical
+    cs = [coeffs[r % len(coeffs)] for r in range(nil.dim)]
+    x = lincomb(cs, nil.vectors(), g.dim)
+    return g, conjugate_parabolic(p, g.exp_ad(x)).filtration
+
+
+@given(
+    st.sampled_from(["gl3", "so32"]),
+    st.integers(0, 2),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=4),
+    st.integers(0, 6),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_compatibility_check_agrees_with_pairwise_oracle(spec, k, coeffs,
+                                                          at, mix):
+    g, f = conjugated_filtration(spec, k, coeffs)
+    # an induced filtration passed the check when it was built
+    assert pairwise_failures(g, f) == set()
+    assert named_pair(g, f) is None
+    # mutant: one inner level replaced by a subspace between its
+    # neighbours, f^(m-1) + span of combinations of f^(m+1)'s basis
+    inner = list(f.indices())[1:-1]
+    m = inner[at % len(inner)]
+    above = f.level(m + 1).vectors()
+    extra = [
+        lincomb([mix[(r + s) % len(mix)] for r in range(len(above))],
+                above, g.dim)
+        for s in range(len(mix))
+    ]
+    levels = {i: f.level(i) for i in f.indices()}
+    levels[m] = Subspace.from_vectors(
+        g.dim, list(f.level(m - 1).vectors()) + extra)
+    mutant = Filtration(levels)
+    failures = pairwise_failures(g, mutant)
+    pair = named_pair(g, mutant)
+    # the check names the first failing pair i ≤ j, in the order of i
+    # then j
+    assert pair == min((p for p in failures if p[0] <= p[1]), default=None)
+
+
+@pytest.mark.parametrize("m, extra, pair, dims", [
+    # f^-1 cut down to <E13, E12>: [E13, E21] = -E23 is not in f^-1
+    (-1, [(0, 1)], (-2, 1), (1, 8, 2)),
+    # f^1 cut down to f^0: [E12, E21] = E11 - E22 is in f^0, but
+    # [E12, E31] = -E32 is not
+    (1, [], (-1, 2), (3, 9, 6)),
+], ids=["f^-1", "f^1"])
+def test_compatibility_check_names_the_failing_pair(m, extra, pair, dims):
+    # gl(3) Borel filtration (dims 0, 1, 3, 6, 8, 9 at -3..2) with f^m
+    # replaced by f^(m-1) + <extra>; the one failing unordered pair has
+    # i ≠ j
+    g = gl(3)
+    pb = standard_borel(g)
+    f = g.induced_filtration(pb.nilradical, pb.space)
+    levels = {i: f.level(i) for i in f.indices()}
+    levels[m] = f.level(m - 1).sum(span(g, [E(3, a, b) for a, b in extra]))
+    mutant = Filtration(levels)
+    assert pairwise_failures(g, mutant) == {pair, pair[::-1]}
+    with pytest.raises(InternalCheckError) as exc:
+        _check_compatibility(g, mutant)
+    assert str(exc.value) == (
+        "filtration compatibility fails at (i, j) = (%d, %d): [f^i, f^j]"
+        " not in f^(i+j); dim f^i = %d, dim f^j = %d, dim f^(i+j) = %d"
+        % (pair + dims)
+    )
 
 
 def test_nilpotent_cone():
