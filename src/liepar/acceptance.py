@@ -318,16 +318,16 @@ def criterion_6():
         op = duality_involution(ss)
         order = list(ss.simples)
         for i, a in enumerate(order):
-            if op(a) != order[n - 1 - i]:
+            if op[a] != order[n - 1 - i]:
                 return False, "gl%d op does not reverse types" % (n + 1)
-        if not op.is_involution():
+        if any(op[op[a]] != a for a in ss.simples):
             return False, "gl%d op not involutive" % (n + 1)
     for p, q in ((3, 2), (4, 3)):
         ss = standard_simple_system(so(p, q))
         op = duality_involution(ss)
-        if any(op(a) != a for a in ss.simples):
+        if any(op[a] != a for a in ss.simples):
             return False, "so(%d,%d) op not identity" % (p, q)
-        if not op.is_involution():
+        if any(op[op[a]] != a for a in ss.simples):
             return False, "so op not involutive"
     return True, "gl reverses, so is the identity, op^2 = id"
 

@@ -4,7 +4,9 @@ W-distance, Lie apartments, and coresidue reconstruction.
 Chambers of combinatorial models are plain tuples; chambers of flag
 complexes are frozensets of element ids; chambers of Lie apartments
 are identified with their root sets (which determine the minimal
-parabolic subspaces bijectively).
+parabolic subspaces bijectively).  Weyl words come from one descent by
+simple reflections (rootdata._descend); their canonical forms descend
+once more, by right descents, instead of searching W.
 """
 
 from __future__ import annotations
@@ -117,15 +119,6 @@ class ChamberSystem:
     def labels(self):
         return sorted(self.panels, key=repr)
 
-    def panel_of(self, label, chamber):
-        for p in self.panels[label]:
-            if chamber in p:
-                return p
-        raise DomainError("chamber not found")
-
-    def adjacent(self, label, b, c):
-        return c in self.panel_of(label, b)
-
     def edges(self):
         out = []
         for label, parts in self.panels.items():
@@ -134,19 +127,29 @@ class ChamberSystem:
                     out.append((label, b, c))
         return out
 
+    def components(self, skip=None):
+        """Connected components through every panel whose label is not
+        skip: the coresidues of type skip.  Listed in the order of their
+        first chamber in self.chambers."""
+        panel = {label: {c: p for p in parts for c in p}
+                 for label, parts in self.panels.items() if label != skip}
+        seen = set()
+        out = []
+        for c in self.chambers:
+            if c in seen:
+                continue
+            seen.add(c)
+            comp = [c]
+            for b in comp:
+                for of in panel.values():
+                    new = of[b] - seen
+                    seen |= new
+                    comp.extend(new)
+            out.append(frozenset(comp))
+        return out
+
     def is_connected(self):
-        if not self.chambers:
-            return True
-        seen = {self.chambers[0]}
-        stack = [self.chambers[0]]
-        while stack:
-            b = stack.pop()
-            for label in self.panels:
-                for c in self.panel_of(label, b):
-                    if c not in seen:
-                        seen.add(c)
-                        stack.append(c)
-        return len(seen) == len(self.chambers)
+        return len(self.components()) <= 1
 
 
 class ThinChamberSystem:
@@ -347,31 +350,25 @@ def lie_apartment(g, rd) -> LieApartment:
     applying all Weyl images to a base chamber; i-adjacency iff the
     two chambers generate the same cotype-{i} parabolic (compared via
     their root sets, which determine the subspaces)."""
-    from .rootdata import simple_permutations, simple_system
+    from .rootdata import simple_system
 
     pb = _base_chamber(g, rd)
     ss = simple_system(rd, pb)
-    perms = simple_permutations(ss)
-    base_neg = ss.negative_roots()
 
     # orbit of the base chamber under the simple reflections, tracking
     # the image of each simple root (the chamber's own walls)
-    start = (base_neg, tuple(ss.simples))
-    seen = {start}
-    queue = [start]
-    while queue:
-        neg, walls = queue.pop()
-        for perm in perms:
-            nneg = frozenset(perm[a] for a in neg)
-            nwalls = tuple(perm[a] for a in walls)
-            st = (nneg, nwalls)
-            if st not in seen:
-                seen.add(st)
-                queue.append(st)
+    def move(perm):
+        return lambda st: (frozenset(perm[a] for a in st[0]),
+                           tuple(perm[a] for a in st[1]))
+
+    start = (ss.negative_roots(), tuple(ss.simples))
     states = {}
-    for neg, walls in seen:
+    for neg, walls in _shortlex(start, [(i, move(p)) for i, p in
+                                        enumerate(ss.reflections)]):
         states.setdefault(neg, set()).add(walls)
-    chambers = sorted(states, key=repr)
+    # a frozenset's repr can follow the order its roots were inserted
+    # in, here the path that found it; rebuild each from sorted roots
+    chambers = sorted((frozenset(sorted(c)) for c in states), key=repr)
     spaces = {c: rd.span_of(c) for c in chambers}
     panels = {}
     for i in range(len(ss.simples)):
@@ -402,21 +399,33 @@ def _base_chamber(g, rd) -> ParabolicData:
 def canonical_word(ss, word, generator_order):
     """Shortlex-canonical form of a word in simple reflections, with
     generators enumerated in the given order (list of positions into
-    ss.simples)."""
-    from .rootdata import simple_permutations
+    ss.simples); the result is a tuple of such positions.
 
-    perms = simple_permutations(ss)
-
-    def act(i):
-        p = perms[i]
-        return lambda el: tuple(p[r] for r in el)
-
-    ident = tuple(sorted(ss.rd.roots))
-    target = ident
+    Let w be the root map that applies the word's reflections in turn
+    (a word u gives σ_{u_k}∘…∘σ_{u_1}), and call σ_α a right descent
+    of w when w(α) < 0, which holds iff ℓ(wσ_α) = ℓ(w) − 1 (Björner–
+    Brenti, Combinatorics of Coxeter Groups, ch. 3-4).  The first
+    letters of the reduced words for w are exactly its right descents:
+    dropping a first letter σ_α leaves a word for wσ_α, so ℓ(wσ_α) <
+    ℓ(w); and σ_α followed by a reduced word for wσ_α is a word for w
+    of length ℓ(w).  So the shortlex-least word, which is reduced,
+    starts with the right descent that comes first in the given order
+    and continues with the shortlex-least word for wσ_α.  Each step
+    shortens w by one, so the loop ends, and it returns the word that
+    the breadth-first shortlex search over W returns."""
+    perms = ss.reflections
+    w = {r: r for r in ss.rd.roots}
     for i in word:
-        target = act(i)(target)
-    moves = [(pos, act(i)) for pos, i in enumerate(generator_order)]
-    return _shortlex(ident, moves)[target]
+        w = {r: perms[i][x] for r, x in w.items()}
+    out = []
+    while True:
+        pos = next((pos for pos, i in enumerate(generator_order)
+                    if ss.levels[w[ss.simples[i]]] < 0), None)
+        if pos is None:
+            return tuple(out)
+        p = perms[generator_order[pos]]
+        w = {r: w[p[r]] for r in w}
+        out.append(pos)
 
 
 def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
@@ -483,29 +492,9 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
 def coresidues(delta: ChamberSystem) -> IncidenceSystem:
     """Elements of type i are the connected components after deleting
     the i-labelled edges; incident iff they share a chamber."""
-    comps = {}
-    for label in delta.labels():
-        parent = {c: c for c in delta.chambers}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for lab2, b, c in delta.edges():
-            if lab2 == label:
-                continue
-            rb, rc = find(b), find(c)
-            if rb != rc:
-                parent[rb] = rc
-        groups = {}
-        for c in delta.chambers:
-            groups.setdefault(find(c), []).append(c)
-        comps[label] = [frozenset(v) for v in groups.values()]
     types = {}
-    for label, parts in comps.items():
-        for p in parts:
+    for label in delta.labels():
+        for p in delta.components(skip=label):
             types[(label, p)] = label
     edges = []
     els = list(types)
@@ -519,26 +508,13 @@ def is_residually_connected(gamma: IncidenceSystem) -> bool:
     """Any two full flags through a common element are joined by a
     gallery avoiding that element's type."""
     delta = chambers_from_incidence(gamma)
+    component = {}  # type -> chamber -> its component without that type
+    for t in gamma.type_set():
+        component[t] = {c: i for i, p in enumerate(delta.components(t))
+                        for c in p}
     for v in gamma.elements():
-        t = gamma.types[v]
-        through = [f for f in delta.chambers if v in f]
-        if not through:
-            continue
-        # connectivity within the graph without t-labelled edges
-        seen = {through[0]}
-        stack = [through[0]]
-        while stack:
-            b = stack.pop()
-            for label, x, y in delta.edges():
-                if label == t:
-                    continue
-                if x == b and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-                elif y == b and x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        if not set(through) <= seen:
+        of = component[gamma.types[v]]
+        if len({of[f] for f in delta.chambers if v in f}) > 1:
             return False
     return True
 

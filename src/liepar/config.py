@@ -209,7 +209,7 @@ class _CenterStructures:
                      for b in self.ss0.simples}
         op_g = duality_involution(base_ss)
         op_q0 = duality_involution(self.ss0)
-        self.nu = {b: op_g(self.iota[op_q0(b)])
+        self.nu = {b: op_g[self.iota[op_q0[b]]]
                    for b in self.ss0.simples}
 
     def nu_image(self):

@@ -9,7 +9,6 @@ powers of the adjoint representation.
 
 from __future__ import annotations
 
-import os
 from itertools import chain
 from math import comb
 from typing import Optional
@@ -45,21 +44,8 @@ __all__ = [
     "lowest_weight_line",
 ]
 
-EXT_BUDGET_ENV = "LIEPAR_EXT_BUDGET"
-DEFAULT_EXT_BUDGET = 512
-
-
-def ext_budget() -> int:
-    """Largest exterior-power dimension lowest_weight_line will build:
-    LIEPAR_EXT_BUDGET if set, else DEFAULT_EXT_BUDGET."""
-    raw = os.environ.get(EXT_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_EXT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError("%s must be an integer, got %r"
-                          % (EXT_BUDGET_ENV, raw)) from None
+# largest exterior-power dimension lowest_weight_line will build
+EXT_BUDGET = 512
 
 
 def _require_form(g: LieAlgebra):
@@ -469,12 +455,11 @@ def lowest_weight_line(q: ParabolicData):
     """
     g = q.ambient
     d = q.nilradical.dim
-    budget = ext_budget()
     mod_dim = comb(g.dim, d)
-    if mod_dim > budget:
+    if mod_dim > EXT_BUDGET:
         raise DomainError(
             "exterior power dimension %d exceeds budget %d"
-            % (mod_dim, budget)
+            % (mod_dim, EXT_BUDGET)
         )
     if d == 0:
         return 1, {(): Q(1)}, g.full_space()

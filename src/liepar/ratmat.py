@@ -93,9 +93,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
 
@@ -176,22 +173,8 @@ class Matrix:
         return _matrix(tuple(zip(*self.data)) if self.rows
                        else ((),) * self.cols, self.cols, self.rows)
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        return sum((self.data[i][i] for i in range(self.rows)), Q(0))
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.data)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.rows == 0:
-            return self
-        if self.rows == 0:
-            return other
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(self.data + other.data)
 
     def rank(self) -> int:
         return len(_rref_rows(self.data))

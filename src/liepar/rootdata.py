@@ -4,7 +4,9 @@ Root space decompositions, coroots, simple systems with fundamental
 coweights/weights, the subset ↔ parabolic bijection, root reflections
 as exact inner automorphisms, Weyl words between chambers of one
 apartment, the duality involution, and normalization of an arbitrary
-parabolic into standard position (which makes types canonical).
+parabolic into standard position (which makes types canonical).  Weyl
+words and standard positions both come from one descent by simple
+reflections (_descend).
 
 Roots are represented by their value tuples on the canonical basis of
 the Cartan subspace.
@@ -38,7 +40,6 @@ from .ratmat import (
 __all__ = [
     "RootDatum",
     "SimpleSystem",
-    "TypeMap",
     "root_decomposition",
     "simple_system",
     "parabolic_from_subset",
@@ -115,9 +116,10 @@ class RootDatum:
 
     def reflection(self, alpha) -> dict:
         """σ_α(β) = β − β(h_α)·α as a permutation of the roots."""
+        h = self.cartan.coordinates_of(self.coroots[alpha])
         perm = {}
         for beta in self.roots:
-            k = self.pairing(beta, alpha)
+            k = sum((b * c for b, c in zip(beta, h)), Q(0))
             img = tuple(b - k * a for a, b in zip(alpha, beta))
             if img not in self.root_spaces:
                 raise InternalCheckError("σ_α leaves the root system")
@@ -204,7 +206,8 @@ def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
 
 class SimpleSystem:
     """A chamber (minimal parabolic ⊇ ml) with its level sets, simple
-    roots, and fundamental coweights/weights."""
+    roots, their reflections σ_α as root permutations (in simples
+    order), and fundamental coweights/weights."""
 
     def __init__(self, rd: RootDatum, chamber: ParabolicData, xi,
                  levels, simples, fundamental_coweights,
@@ -216,7 +219,8 @@ class SimpleSystem:
         self.simples = tuple(simples)  # ordered Φ¹
         self.fundamental_coweights = fundamental_coweights
         self.fundamental_weights = fundamental_weights
-        self._duality = None  # TypeMap, filled by duality_involution
+        self.reflections = tuple(rd.reflection(a) for a in self.simples)
+        self._duality = None  # dict, filled by duality_involution
 
     @property
     def rank(self):
@@ -360,12 +364,6 @@ def root_reflection(rd: RootDatum, alpha):
     return auto, perm
 
 
-def simple_permutations(ss: SimpleSystem):
-    """σ_α as root permutations for each simple α (combinatorial only,
-    no automorphism matrices)."""
-    return [ss.rd.reflection(alpha) for alpha in ss.simples]
-
-
 def _chamber_negatives(ss: SimpleSystem, pc: ParabolicData):
     rd = ss.rd
     neg = rd.root_set_of(pc.space)
@@ -376,32 +374,45 @@ def _chamber_negatives(ss: SimpleSystem, pc: ParabolicData):
     return neg
 
 
+def _descend(ss: SimpleSystem, S):
+    """While some simple α has −α ∉ S, apply the first such σ_α to the
+    root set S.  Returns the indices applied, in order, and the final
+    set, which contains every −α.
+
+    The walk ends within |Φ⁺| steps when S is the root set of a
+    parabolic containing ml, since then α ∈ S or −α ∈ S for each root
+    α.  A step applies σ_α with −α ∉ S, so α ∈ S.  σ_α sends α to −α
+    and permutes Φ⁺ ∖ {α}, so the step removes α from S ∩ Φ⁺ and
+    permutes the rest of it: |S ∩ Φ⁺| drops by one.  A longer walk
+    means S was no such set, and raises."""
+    negs = [tuple(-v for v in a) for a in ss.simples]
+    cap = len(ss.rd.roots) // 2
+    word = []
+    while True:
+        i = next((i for i, n in enumerate(negs) if n not in S), None)
+        if i is None:
+            return word, S
+        if len(word) == cap:
+            raise InternalCheckError("simple-reflection walk longer than"
+                                     " |Φ⁺|")
+        S = frozenset(ss.reflections[i][a] for a in S)
+        word.append(i)
+
+
 def weyl_word(ss: SimpleSystem, pc: ParabolicData):
-    """Greedy word in simple reflections carrying the base chamber to
-    pc, tracked combinatorially on root sets."""
-    perms = simple_permutations(ss)
+    """Word in simple reflections carrying the base chamber to pc: the
+    descent of pc's root set, reversed.  On a chamber −α ∉ S ⇔ α ∈ S,
+    so each step crosses a wall that separates it from the base."""
     base_neg = ss.negative_roots()
     target = _chamber_negatives(ss, pc)
-    word = []
-    cur = target
-    cap = len(ss.rd.roots) // 2 + 1
-    while cur != base_neg:
-        step = None
-        for i, alpha in enumerate(ss.simples):
-            # α positive in base; if α lies in cur the chamber is on
-            # the far side of that wall
-            if alpha in cur:
-                step = i
-                break
-        if step is None or len(word) > cap:
-            raise InternalCheckError("greedy chamber walk failed")
-        cur = frozenset(perms[step][a] for a in cur)
-        word.append(step)
+    word, cur = _descend(ss, target)
+    if cur != base_neg:
+        raise InternalCheckError("greedy chamber walk failed")
     word.reverse()
     # applying the word to the base chamber must reproduce pc's roots
     check = base_neg
     for i in word:
-        check = frozenset(perms[i][a] for a in check)
+        check = frozenset(ss.reflections[i][a] for a in check)
     if check != target:
         raise InternalCheckError("Weyl word does not reach the target"
                                  " chamber")
@@ -409,25 +420,10 @@ def weyl_word(ss: SimpleSystem, pc: ParabolicData):
 
 
 def standardize_type(ss: SimpleSystem, space: Subspace):
-    """Type of an arbitrary parabolic containing ml, by walking its
-    root set into standard position with simple reflections."""
-    rd = ss.rd
-    perms = simple_permutations(ss)
-    S = rd.root_set_of(space)
-    negs = ss.negative_roots()
-    cap = len(rd.roots) + 1
-    for _ in range(cap):
-        missing = None
-        for i, alpha in enumerate(ss.simples):
-            if tuple(-v for v in alpha) not in S:
-                missing = i
-                break
-        if missing is None:
-            break
-        S = frozenset(perms[missing][a] for a in S)
-    else:
-        raise InternalCheckError("standardization walk failed")
-    if not negs <= S:
+    """Type of an arbitrary parabolic containing ml: descend its root
+    set into standard position and read off the simples it misses."""
+    _, S = _descend(ss, ss.rd.root_set_of(space))
+    if not ss.negative_roots() <= S:
         raise InternalCheckError("standardized root set not standard")
     return frozenset(a for a in ss.simples if a not in S)
 
@@ -521,37 +517,14 @@ def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
     return out
 
 
-class TypeMap:
-    """A map between type index sets (realizes ι_q, ν_q, op)."""
-
-    def __init__(self, mapping: dict, source=None, target=None):
-        self.mapping = dict(mapping)
-        self.source = frozenset(source if source is not None
-                                else self.mapping)
-        self.target = frozenset(target if target is not None
-                                else self.mapping.values())
-        if len(set(self.mapping.values())) != len(self.mapping):
-            raise InternalCheckError("type map not injective")
-
-    def __call__(self, t):
-        return self.mapping[t]
-
-    def image(self, ts):
-        return frozenset(self.mapping[t] for t in ts)
-
-    def is_involution(self):
-        return all(
-            self.mapping.get(v) == k for k, v in self.mapping.items()
-        )
-
-
-def duality_involution(ss: SimpleSystem) -> TypeMap:
+def duality_involution(ss: SimpleSystem) -> dict:
     """op: for each simple α, the type of the opposite of the maximal
     parabolic q^α, normalized back into the standard chamber.
-    Computed once per simple system."""
+    Computed once per simple system.  op∘op = id is checked, which
+    also makes op a bijection of the simples."""
     if ss._duality is not None:
         return ss._duality
-    mapping = {}
+    op = {}
     for alpha in ss.simples:
         q = parabolic_from_subset(ss, {alpha})
         hat = opposite(q, q.grading_element)
@@ -559,9 +532,8 @@ def duality_involution(ss: SimpleSystem) -> TypeMap:
         if len(t) != 1:
             raise InternalCheckError("opposite of a maximal parabolic"
                                      " not maximal")
-        mapping[alpha] = next(iter(t))
-    tm = TypeMap(mapping)
-    if not tm.is_involution():
+        (op[alpha],) = t
+    if any(op[op[a]] != a for a in op):
         raise InternalCheckError("duality map not an involution")
-    ss._duality = tm
-    return tm
+    ss._duality = op
+    return op

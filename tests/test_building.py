@@ -1,4 +1,6 @@
 from fractions import Fraction as Q
+from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -7,8 +9,10 @@ import liepar.rootdata as rootdata
 from liepar.building import (
     ChamberSystem,
     IncidenceSystem,
+    _shortlex,
     apartment_model_A,
     apartment_model_B,
+    canonical_word,
     chambers_from_incidence,
     coresidues,
     delta_parabolic,
@@ -91,6 +95,57 @@ def test_lie_apartments_match_models():
         # chambers round-trip through parabolics
         c = next(iter(ap.thin.chambers))
         assert ap.chamber_of(ap.parabolic(c)) == c
+
+
+ALGEBRAS = {"gl3": lambda: gl(3), "gl4": lambda: gl(4),
+            "so32": lambda: so(3, 2), "so43": lambda: so(4, 3)}
+
+
+@lru_cache(maxsize=None)
+def apartment_words(name):
+    """The Lie apartment of a catalog algebra and the Weyl word of each
+    of its chambers."""
+    g = ALGEBRAS[name]()
+    ap = lie_apartment(g, standard_minimal_levi(g)[1])
+    return ap, {c: rootdata.weyl_word(ap.ss, ap.parabolic(c))
+                for c in ap.chambers}
+
+
+@pytest.mark.parametrize("name, every_order", [
+    ("gl3", True), ("gl4", True), ("so32", True), ("so43", False)])
+def test_canonical_word_matches_the_shortlex_search(name, every_order):
+    ap, words = apartment_words(name)
+    ss = ap.ss
+
+    def act(i):
+        p = ss.reflections[i]
+        return lambda el: tuple(p[r] for r in el)
+
+    # the search over all of W that canonical_word replaces
+    ident = tuple(sorted(ss.rd.roots))
+    n = len(ss.simples)
+    orders = permutations(range(n)) if every_order else [tuple(range(n))]
+    for order in orders:
+        oracle = _shortlex(ident, [(pos, act(i))
+                                   for pos, i in enumerate(order)])
+        for word in words.values():
+            target = ident
+            for i in word:
+                target = act(i)(target)
+            assert canonical_word(ss, word, list(order)) == oracle[target]
+            # a word that is not reduced has the same canonical form
+            assert canonical_word(ss, word + [order[0]] * 2,
+                                  list(order)) == oracle[target]
+
+
+@pytest.mark.parametrize("name", ["gl4", "so43"])
+def test_weyl_word_is_reduced(name):
+    # its length is the number of walls between the base chamber and
+    # the target: the positive roots in the target's root set
+    ap, words = apartment_words(name)
+    assert len(words) == len(set(map(tuple, words.values())))
+    for c, word in words.items():
+        assert len(word) == len(c & ap.ss.positive_roots())
 
 
 def test_delta_parabolic_gl3():
@@ -214,6 +269,31 @@ def test_coresidues_recover_triangle():
     assert len(back.elements()) == len(gamma.elements())
     assert is_residually_connected(gamma)
     assert ec_reconstruction_isomorphic(gamma)
+
+
+def test_residually_disconnected():
+    # the flags through x are {x, b1, c1} and {x, b2, c2}; no gallery
+    # of b- and c-panels joins them
+    gamma = IncidenceSystem(
+        {"x": "a", "b1": "b", "b2": "b", "c1": "c", "c2": "c"},
+        [("x", "b1"), ("x", "b2"), ("x", "c1"), ("x", "c2"),
+         ("b1", "c1"), ("b2", "c2")])
+    assert not is_residually_connected(gamma)
+
+
+def test_components():
+    panels = {0: [{"a", "b"}, {"c"}, {"d", "e"}, {"f"}],
+              1: [{"a"}, {"b"}, {"c"}, {"d"}, {"e", "f"}]}
+    cs = ChamberSystem("abcdef", panels)
+    assert cs.components() == [{"a", "b"}, {"c"}, {"d", "e", "f"}]
+    assert not cs.is_connected()
+    # skipping a label leaves the panels of the others
+    assert cs.components(skip=1) == [{"a", "b"}, {"c"}, {"d", "e"}, {"f"}]
+    assert cs.components(skip=0) == [{"a"}, {"b"}, {"c"}, {"d"}, {"e", "f"}]
+    # listed by first chamber
+    assert ChamberSystem("fedcba", panels).components() == [
+        {"d", "e", "f"}, {"c"}, {"a", "b"}]
+    assert ChamberSystem(["a"], {0: [{"a"}]}).is_connected()
 
 
 def test_subset_models():

@@ -186,40 +186,35 @@ def test_space_from_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["parabolic"] is True
 
 
-@pytest.mark.parametrize("argv, env, stdin, named", [
-    (["make", "sl:1"], {}, None, "n must be >= 2"),
-    (["check", "gl:2", "--space", "[[1,2"], {}, None, "--space"),
-    (["check", "gl:2", "--space", "@{tmp}/missing.json"], {}, None,
-     "--space"),
-    (["check", "gl:2", "--space", "[[1,2]]"], {}, None, "--space"),
-    (["selftest"], {"LIEPAR_EXT_BUDGET": "lots"}, None, "LIEPAR_EXT_BUDGET"),
-    (["building", "--model", "A:x"], {}, None, "--model"),
-    (["config", '{"algebra": 5, "center": []}'], {}, None, "witness"),
-    (["config", '{"algebra": [], "center": []}'], {}, None, "witness"),
-    (["make", "-"], {}, '{"algebra": []}', "stdin"),
-    (["make", "-"], {}, '{"algebra": 5}', "stdin"),
+@pytest.mark.parametrize("argv, stdin, named", [
+    (["make", "sl:1"], None, "n must be >= 2"),
+    (["check", "gl:2", "--space", "[[1,2"], None, "--space"),
+    (["check", "gl:2", "--space", "@{tmp}/missing.json"], None, "--space"),
+    (["check", "gl:2", "--space", "[[1,2]]"], None, "--space"),
+    (["building", "--model", "A:x"], None, "--model"),
+    (["config", '{"algebra": 5, "center": []}'], None, "witness"),
+    (["config", '{"algebra": [], "center": []}'], None, "witness"),
+    (["make", "-"], '{"algebra": []}', "stdin"),
+    (["make", "-"], '{"algebra": 5}', "stdin"),
     # 0.1 as a JSON float is binary; only "1/10" or "0.1" is exact
-    (["check", "gl:2", "--space", "[[0.1,1,0,0]]"], {}, None,
-     "--space: 0.1"),
+    (["check", "gl:2", "--space", "[[0.1,1,0,0]]"], None, "--space: 0.1"),
     (["config", '{"algebra": ["gl", 2], "points": [[1, 0], [0, 1.5]],'
-                ' "center": [[1, 1]]}'], {}, None, "witness points: 1.5"),
+                ' "center": [[1, 1]]}'], None, "witness points: 1.5"),
     (["config", '{"algebra": ["gl", 2], "points": ["10", "01"],'
-                ' "center": [[1, 1]]}'], {}, None, "witness points"),
-    (["check", "gl:2", "--space", "@{tmp}/latin1.json"], {}, None,
+                ' "center": [[1, 1]]}'], None, "witness points"),
+    (["check", "gl:2", "--space", "@{tmp}/latin1.json"], None,
      "--space: {tmp}/latin1.json is not UTF-8"),
-    (["make", "-"], {}, "closed", "stdin"),
+    (["make", "-"], "closed", "stdin"),
     # usage errors: argparse would print to stderr and exit 2
-    (["make"], {}, None, "required: algebra"),
-    (["bogus"], {}, None, "invalid choice: 'bogus'"),
+    (["make"], None, "required: algebra"),
+    (["bogus"], None, "invalid choice: 'bogus'"),
 ], ids=["catalog-rejects", "malformed-json", "missing-file",
-        "wrong-length", "bad-ext-budget", "bad-model", "witness-algebra",
+        "wrong-length", "bad-model", "witness-algebra",
         "witness-empty-algebra", "stdin-empty-algebra", "stdin-algebra-int",
         "float-entry", "witness-float", "string-vector", "not-utf8-file",
         "closed-stdin", "missing-algebra", "unknown-verb"])
 def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
-                                       argv, env, stdin, named):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+                                       argv, stdin, named):
     if stdin is not None:
         # a process started with stdin closed has sys.stdin None
         monkeypatch.setattr("sys.stdin", None if stdin == "closed"

@@ -1,6 +1,7 @@
 """Source rules checked on the syntax tree of every library module."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,15 +9,16 @@ import pytest
 import liepar
 
 MODULES = sorted(Path(liepar.__file__).parent.glob("*.py"))
+TRACING = Path(liepar.__file__).parents[2] / "perfbench" / "tracing.py"
 
 # private name -> the one module that may use it; the others go through
 # its public callers (rref / kernel / solve / Subspace for _rref_rows,
 # flag_stabilizer / frame_levi for _action_stabilizer, type_of_any /
 # base_types for _transport_to_ml, induced_filtration for
-# _check_compatibility)
+# _check_compatibility, weyl_word / standardize_type for _descend)
 OWNER = {"_rref_rows": "ratmat.py", "_action_stabilizer": "catalog.py",
          "_transport_to_ml": "rootdata.py",
-         "_check_compatibility": "liealg.py"}
+         "_check_compatibility": "liealg.py", "_descend": "rootdata.py"}
 
 
 def tree(path):
@@ -83,6 +85,31 @@ def test_filtration_check_only_through_liealg_calls(path):
     lines = uses(path, "_check_compatibility")
     assert lines == [], "%s: _check_compatibility at lines %s" % (path.name,
                                                                    lines)
+
+
+@pytest.mark.parametrize("path", outside("_descend"), ids=lambda p: p.name)
+def test_weyl_descent_only_through_rootdata_calls(path):
+    lines = uses(path, "_descend")
+    assert lines == [], "%s: _descend at lines %s" % (path.name, lines)
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these names after importing the three
+    # modules below; a deleted one would break only a traced run
+    import liepar.catalog  # noqa: F401
+    import liepar.cli  # noqa: F401
+    import liepar.config  # noqa: F401
+
+    (targets,) = [n.value for n in tree(TRACING).body
+                  if isinstance(n, ast.Assign)
+                  and [t.id for t in n.targets] == ["TARGETS"]]
+    missing = []
+    for _, _, module, attr in ast.literal_eval(targets):
+        owner = vars(sys.modules[module]) if module in sys.modules else {}
+        cls, _, method = attr.partition(".")
+        if cls not in owner or method and method not in vars(owner[cls]):
+            missing.append("%s.%s" % (module, attr))
+    assert missing == [], "traced names missing: %s" % missing
 
 
 def imported_at_load(path):

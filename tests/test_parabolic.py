@@ -188,20 +188,11 @@ def test_lowest_weight_line():
     assert mod_dim == 36 and stab == q.space
 
 
-def test_lowest_weight_line_budget(monkeypatch):
-    monkeypatch.setenv("LIEPAR_EXT_BUDGET", "4")
-    g3 = gl(3)
-    q = flag_stabilizer(g3, FlagSpec(3, [Subspace.from_vectors(3, [[1, 0, 0]])]))
-    with pytest.raises(DomainError):
-        lowest_weight_line(q)
-
-
-def test_lowest_weight_line_budget_not_an_integer(monkeypatch):
-    monkeypatch.setenv("LIEPAR_EXT_BUDGET", "4.5")
-    g = gl(2)
-    pd = make_parabolic(g, span(g, [E(2, 0, 0), E(2, 0, 1), E(2, 1, 1)]))
-    with pytest.raises(DomainError, match="LIEPAR_EXT_BUDGET"):
-        lowest_weight_line(pd)
+def test_lowest_weight_line_budget():
+    # the gl(4) Borel: Λ^6 of a 16-dimensional module has C(16, 6) = 8008
+    # dimensions, over the budget of 512
+    with pytest.raises(DomainError, match="8008 exceeds budget 512"):
+        lowest_weight_line(standard_borel(gl(4)))
 
 
 def test_filtration_of_so_borel():
