@@ -13,6 +13,7 @@ import os
 import random
 import time
 from fractions import Fraction as Q
+from math import factorial
 
 from .building import (
     apartment_model_A,
@@ -259,10 +260,10 @@ def criterion_5():
     rng = random.Random(SEED + 3)
     for n in (1, 2, 3):
         a = apartment_model_A(n)
-        if len(a.chambers) != _fact(n + 1):
+        if len(a.chambers) != factorial(n + 1):
             return False, "A(%d) chamber count" % n
         b = apartment_model_B(n)
-        if len(b.chambers) != (1 << n) * _fact(n):
+        if len(b.chambers) != (1 << n) * factorial(n):
             return False, "B(%d) chamber count" % n
         for thin in (a, b):
             for label, parts in thin.cs.panels.items():
@@ -301,13 +302,6 @@ def criterion_5():
             if d != d0:
                 return False, "%s delta not conjugation invariant" % name
     return True, "models A/B n<=3, five lie apartments, 40 conjugations"
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def criterion_6():
@@ -393,7 +387,7 @@ def criterion_9():
         g = gs[i % 2]
         pb = standard_borel(g)
         x = _rand_nil(rng, g, pb)
-        g.exp_ad(x, check=True)  # automorphism + form preservation
+        g.check_automorphism(g.exp_ad(x))  # bracket + form preservation
     for i in range(100):
         g = gs[i % 2]
         s = rand_space(g, rng.randint(1, 3))

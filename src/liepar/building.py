@@ -6,7 +6,9 @@ complexes are frozensets of element ids; chambers of Lie apartments
 are identified with their root sets (which determine the minimal
 parabolic subspaces bijectively).  Weyl words come from one descent by
 simple reflections (rootdata._descend); their canonical forms descend
-once more, by right descents, instead of searching W.
+once more, by right descents, instead of searching W.  The W-distance
+between two Lie chambers reads its local simple system off
+rootdata.local_simple_system, the one helper that builds them.
 """
 
 from __future__ import annotations
@@ -169,7 +171,6 @@ class ThinChamberSystem:
                 inv[a] = b
                 inv[b] = a
             self.involutions[label] = inv
-        self._group = None
 
     @property
     def chambers(self):
@@ -352,8 +353,7 @@ def lie_apartment(g, rd) -> LieApartment:
     their root sets, which determine the subspaces)."""
     from .rootdata import simple_system
 
-    pb = _base_chamber(g, rd)
-    ss = simple_system(rd, pb)
+    ss = simple_system(rd, rd.nonpositive_parabolic(rd.regular_element()))
 
     # orbit of the base chamber under the simple reflections, tracking
     # the image of each simple root (the chamber's own walls)
@@ -389,13 +389,6 @@ def lie_apartment(g, rd) -> LieApartment:
     return apt
 
 
-def _base_chamber(g, rd) -> ParabolicData:
-    """Minimal parabolic from a regular element of the Cartan."""
-    h = rd.regular_element()
-    return make_parabolic(
-        g, rd.span_of(a for a in rd.roots if rd.eval_root(a, h) < 0))
-
-
 def canonical_word(ss, word, generator_order):
     """Shortlex-canonical form of a word in simple reflections, with
     generators enumerated in the given order (list of positions into
@@ -428,55 +421,28 @@ def canonical_word(ss, word, generator_order):
         out.append(pos)
 
 
-def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss=None):
+def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss):
     """Canonical Weyl word between two minimal parabolics.
 
-    Builds a root datum on a common Levi, walks between the chambers,
-    and returns the shortlex-canonical word.  With base_ss supplied,
-    generators are indexed by their adjoint-orbit type relative to
-    that base system, which makes the word invariant under inner
+    Builds the simple system of pb over a common Levi of pb and pc,
+    walks between the chambers, and returns the shortlex-canonical
+    word.  Generators are indexed by their adjoint-orbit type relative
+    to base_ss, which makes the word invariant under inner
     automorphisms.
     """
-    from .rootdata import (
-        base_types,
-        root_decomposition,
-        simple_system,
-        weyl_word,
-    )
+    from .rootdata import base_types, local_simple_system, weyl_word
 
-    g = pb.ambient
-    own = base_ss is not None and pb == base_ss.chamber
-    if own:
+    if pb == base_ss.chamber:
         pb = base_ss.chamber  # carries its filtration already
-    l = common_levi(pb, pc, check_complement=True)
-    if own and l == base_ss.rd.cartan and l == base_ss.rd.levi:
-        # root_decomposition(g, l) and simple_system(rd, pb) would
-        # rebuild base_ss from its own inputs; a Cartan is abelian
-        ss = base_ss
-    else:
-        sub, _, _ = g.restrict(l)
-        if sub.bracket_spaces(sub.full_space(),
-                              sub.full_space()).dim != 0:
-            raise DomainError("common Levi not abelian; split part"
-                              " extraction not implemented for this"
-                              " case")
-        rd = root_decomposition(g, l)
-        if rd.levi != l:
-            raise InternalCheckError("common Levi is not its own"
-                                     " centralizer's zero part")
-        ss = simple_system(rd, pb)
+    l = common_levi(pb, pc)
+    if not (pb.has_levi(l) and pc.has_levi(l)):
+        raise InternalCheckError("common Levi is not a complement of the"
+                                 " nilradical")
+    ss = local_simple_system(base_ss, l, pb)
     word = weyl_word(ss, pc)
-    if base_ss is None:
-        order = list(range(len(ss.simples)))
-        return canonical_word(ss, word, order)
     # canonical generator order: sort local simples by the base-system
     # type of their maximal parabolic
-    if ss is base_ss:
-        # each q^α contains base_ss.chamber ⊇ ml, so it is already in
-        # standard position and its type is {α}; no transport is needed
-        labels = list(ss.simples)
-    else:
-        labels = list(base_types(ss, base_ss).values())
+    labels = list(base_types(ss, base_ss).values())
     base_order = list(base_ss.simples)
     order = sorted(range(len(ss.simples)),
                    key=lambda i: base_order.index(labels[i]))

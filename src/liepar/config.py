@@ -5,7 +5,10 @@ algebra, and their projection into Levi quotients.
 A standard configuration is realized by a witness (a point frame, or
 an isotropic frame of hyperbolic planes); projecting it through a
 center parabolic q restricts the model along the type map nu_q and
-pushes each element through parabolic projection.
+pushes each element through parabolic projection.  The center's
+local simple system comes from rootdata.local_simple_system, over the
+base chamber itself for a standard center, and otherwise over the
+chamber that parabolic projection finds inside the center.
 """
 
 from __future__ import annotations
@@ -28,18 +31,19 @@ from .errors import DomainError, InternalCheckError
 from .parabolic import (
     ParabolicData,
     common_levi,
-    grading_lift,
     is_costandard,
     is_weakly_opposite,
     make_parabolic,
     project,
 )
-from .ratmat import Subspace, lincomb
+from .ratmat import Subspace
 from .rootdata import (
     base_types,
     duality_involution,
+    local_simple_system,
     root_decomposition,
     simple_system,
+    type_of,
     type_of_any,
 )
 
@@ -80,9 +84,8 @@ class StandardConfiguration(Configuration):
     """Configuration realized by a witness frame; injective, with all
     images containing the frame's minimal Levi."""
 
-    def __init__(self, source, targets, algebra, witness, levi_space):
+    def __init__(self, source, targets, algebra, levi_space):
         super().__init__(source, targets, algebra)
-        self.witness = witness
         self.levi_space = levi_space
         spaces = [t.space for t in self.targets.values()]
         if len({s for s in spaces}) != len(spaces):
@@ -115,7 +118,7 @@ def simplex_configuration(g, points) -> StandardConfiguration:
             raise DomainError("degenerate point subset")
         targets[e] = flag_stabilizer(g, FlagSpec(n1, [span]))
     ml = frame_levi(g, [_span(n1, [p]) for p in points])
-    return StandardConfiguration(model, targets, g, points, ml)
+    return StandardConfiguration(model, targets, g, ml)
 
 
 def cross_configuration(g, planes) -> StandardConfiguration:
@@ -145,7 +148,7 @@ def cross_configuration(g, planes) -> StandardConfiguration:
     lines = [_span(sz, [line_of(s * i)]) for i in range(1, n + 1)
              for s in (1, -1)]
     ml = frame_levi(g, lines)
-    return StandardConfiguration(model, targets, g, planes, ml)
+    return StandardConfiguration(model, targets, g, ml)
 
 
 # ---------------------------------------------------------------------------
@@ -159,42 +162,32 @@ class _CenterStructures:
     """
 
     def __init__(self, q: ParabolicData, base_ss):
-        g = q.ambient
         self.q = q
         self.base_ss = base_ss
         pb = base_ss.chamber
-        if q.space.contains(pb.space):
-            l = base_ss.rd.cartan
-            rd_q = base_ss.rd
-            chamber = pb
-            ss_q = base_ss
-            local_label = {a: a for a in base_ss.simples}
-        else:
-            l = common_levi(q, pb)
-            rd_q = root_decomposition(g, l)
-            chamber = _chamber_inside(q, rd_q)
-            ss_q = simple_system(rd_q, chamber)
-            local_label = None  # filled below via canonical types
         lq = q.levi_quotient()
         self.lq = lq
-        a0 = lq.project_space(l)
-        rd0 = root_decomposition(lq.algebra, a0)
-        pb0_space = lq.project_space(chamber.space)
-        pb0 = make_parabolic(lq.algebra, pb0_space)
+        if q.space.contains(pb.space):
+            l, chamber = base_ss.rd.cartan, pb
+            pb0 = make_parabolic(lq.algebra, lq.project_space(pb.space))
+        else:
+            # the projection of the base chamber to q, and its image in
+            # the quotient: a chamber inside q that contains q ∩ pb ⊇ l
+            l = common_levi(q, pb)
+            chamber, pb0 = project(q, pb)
+        ss_q = local_simple_system(base_ss, l, chamber)
+        rd0 = root_decomposition(lq.algebra, lq.project_space(l))
         self.ss0 = simple_system(rd0, pb0)
         # local g-simples not crossed in q, matched to quotient simples
         # by projecting their root spaces
-        t_local = set()
-        for a in ss_q.simples:
-            if not q.space.contains(rd_q.root_spaces[a]):
-                t_local.add(a)
+        t_local = type_of(ss_q, q)
         iota_local = {}
         for b in self.ss0.simples:
             match = None
             for a in ss_q.simples:
                 if a in t_local:
                     continue
-                if lq.project_space(rd_q.root_spaces[a]) == \
+                if lq.project_space(ss_q.rd.root_spaces[a]) == \
                         rd0.root_spaces[b]:
                     match = a
                     break
@@ -203,8 +196,7 @@ class _CenterStructures:
                     "quotient simple with no matching root space"
                 )
             iota_local[b] = match
-        if local_label is None:
-            local_label = base_types(ss_q, base_ss)
+        local_label = base_types(ss_q, base_ss)
         self.iota = {b: local_label[iota_local[b]]
                      for b in self.ss0.simples}
         op_g = duality_involution(base_ss)
@@ -220,21 +212,6 @@ class _CenterStructures:
 
     def iota_preimage(self, types):
         return frozenset(b for b, a in self.iota.items() if a in types)
-
-
-def _chamber_inside(q: ParabolicData, rd_q) -> ParabolicData:
-    """Minimal parabolic between rd_q's Levi and q: dominate the
-    grading levels of q by a large multiple and break ties with a
-    regular element."""
-    g = q.ambient
-    xi_q, _ = grading_lift(q, rd_q.cartan)
-    small = rd_q.regular_element()
-    bound = max(abs(rd_q.eval_root(a, small)) for a in rd_q.roots)
-    xi = lincomb((2 * bound + 1, 1), (xi_q, small), g.dim)
-    space = rd_q.span_of(a for a in rd_q.roots if rd_q.eval_root(a, xi) < 0)
-    if not q.space.contains(space):
-        raise InternalCheckError("dominated chamber escapes q")
-    return make_parabolic(g, space)
 
 
 def center_structures(q: ParabolicData, base_ss=None) -> _CenterStructures:

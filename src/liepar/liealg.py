@@ -10,7 +10,7 @@ used for perps.
 from __future__ import annotations
 
 from itertools import chain
-from math import factorial
+from math import factorial, gcd
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
@@ -123,7 +123,7 @@ def poly_rational_roots(p):
     while len(p) > 1:
         den = 1
         for c in p:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         ip = [int(c * den) for c in p]
         while ip and ip[0] == 0:
             # factor of t
@@ -159,12 +159,6 @@ def _poly_eval(p, x):
     for c in reversed(p):
         v = v * x + c
     return v
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -608,7 +602,7 @@ class LieAlgebra:
             s = s - fs * _matrix_inverse(poly_eval_matrix(fp, s))
         raise InternalCheckError("Jordan iteration did not converge")
 
-    def exp_ad(self, x, check=False) -> Matrix:
+    def exp_ad(self, x) -> Matrix:
         mp = minimal_polynomial(self.ad(x))
         if any(c != 0 for c in mp[:-1]):
             raise DomainError("exp_ad requires an ad-nilpotent element")
@@ -618,11 +612,10 @@ class LieAlgebra:
         for k in range(1, len(mp)):
             term = term * m
             out = out + term.scale(Q(1, factorial(k)))
-        if check:
-            self._check_automorphism(out)
         return out
 
-    def _check_automorphism(self, a: Matrix):
+    def check_automorphism(self, a: Matrix):
+        """Raise unless a preserves the bracket and the form."""
         for i in range(self.dim):
             ai = a.col(i)
             for j in range(i + 1, self.dim):

@@ -172,6 +172,12 @@ class ParabolicData:
             self._levi = LeviQuotient(self)
         return self._levi
 
+    def has_levi(self, l: Subspace) -> bool:
+        """Whether l is a vector-space complement of the nilradical in
+        the parabolic."""
+        return (l.sum(self.nilradical) == self.space
+                and l.intersect(self.nilradical).dim == 0)
+
 
 def make_parabolic(g: LieAlgebra, space: Subspace) -> ParabolicData:
     ok, cert = is_parabolic(g, space)
@@ -293,17 +299,9 @@ def opposite(pd: ParabolicData, xi=None) -> ParabolicData:
     return op
 
 
-def is_costandard(p: ParabolicData, q: ParabolicData, check=False) -> bool:
+def is_costandard(p: ParabolicData, q: ParabolicData) -> bool:
     _same_ambient(p, q)
-    res = q.space.contains(p.nilradical)
-    if res and check:
-        inter = p.space.intersect(q.space)
-        ok, _ = is_parabolic(p.ambient, inter)
-        if not ok:
-            raise InternalCheckError(
-                "costandard pair with non-parabolic intersection"
-            )
-    return res
+    return q.space.contains(p.nilradical)
 
 
 def is_weakly_opposite(p: ParabolicData, q: ParabolicData) -> bool:
@@ -369,13 +367,12 @@ def compatible_lifts(p: ParabolicData, q: ParabolicData):
     return xi_p, xi_q
 
 
-def common_levi(p: ParabolicData, q: ParabolicData,
-                check_complement=False) -> Subspace:
+def common_levi(p: ParabolicData, q: ParabolicData) -> Subspace:
     """Joint centralizer of a compatible lift pair.
 
     When the inputs are minimal parabolics the result must be a Levi
-    complement of both nilradicals; pass check_complement=True to
-    assert that.  Assertion failures are surfaced as
+    complement of both nilradicals; callers that rely on it check it
+    with ParabolicData.has_levi.  Assertion failures are surfaced as
     InternalCheckError, never patched.
     """
     g = p.ambient
@@ -385,13 +382,6 @@ def common_levi(p: ParabolicData, q: ParabolicData,
         raise InternalCheckError("common Levi not inside p ∩ q")
     if not g.is_subalgebra(l):
         raise InternalCheckError("common Levi not a subalgebra")
-    if check_complement:
-        for pd in (p, q):
-            if l.sum(pd.nilradical) != pd.space or \
-                    l.intersect(pd.nilradical).dim != 0:
-                raise InternalCheckError(
-                    "common Levi is not a complement of the nilradical"
-                )
     return l
 
 

@@ -6,7 +6,9 @@ as exact inner automorphisms, Weyl words between chambers of one
 apartment, the duality involution, and normalization of an arbitrary
 parabolic into standard position (which makes types canonical).  Weyl
 words and standard positions both come from one descent by simple
-reflections (_descend).
+reflections (_descend).  Every simple system of a chamber over a
+common Levi comes from one helper (local_simple_system), which falls
+back on the base simple system when it would rebuild it.
 
 Roots are represented by their value tuples on the canonical basis of
 the Cartan subspace.
@@ -17,9 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, InternalCheckError
-from .liealg import LieAlgebra, minimal_polynomial, poly_rational_roots
+from .liealg import LieAlgebra
 from .parabolic import (
     ParabolicData,
+    ad_eigenspaces,
     common_levi,
     grading_lift,
     make_parabolic,
@@ -29,7 +32,6 @@ from .ratmat import (
     Matrix,
     Q,
     Subspace,
-    kernel,
     lincomb,
     solve,
     vec_is_zero,
@@ -42,6 +44,7 @@ __all__ = [
     "SimpleSystem",
     "root_decomposition",
     "simple_system",
+    "local_simple_system",
     "parabolic_from_subset",
     "type_of",
     "root_reflection",
@@ -57,15 +60,13 @@ __all__ = [
 class RootDatum:
     """Split Cartan subspace with its restricted root system."""
 
-    def __init__(self, ambient, cartan, levi, roots, root_spaces, coroots,
-                 root_lattice_rank):
+    def __init__(self, ambient, cartan, levi, roots, root_spaces, coroots):
         self.ambient = ambient
         self.cartan = cartan
         self.levi = levi
         self.roots = tuple(roots)
         self.root_spaces = dict(root_spaces)
         self.coroots = dict(coroots)
-        self.root_lattice_rank = root_lattice_rank
 
     def eval_root(self, alpha, h) -> Fraction:
         """Value of the functional alpha on an element h of the Cartan."""
@@ -97,6 +98,12 @@ class RootDatum:
         for a in roots:
             vecs.extend(self.root_spaces[a].vectors())
         return Subspace.from_vectors(self.ambient.dim, vecs)
+
+    def nonpositive_parabolic(self, xi) -> ParabolicData:
+        """ml plus the root spaces of the roots α with α(ξ) ≤ 0,
+        recognized as a parabolic."""
+        return make_parabolic(self.ambient, self.span_of(
+            a for a in self.roots if self.eval_root(a, xi) <= 0))
 
     def regular_element(self):
         """Σ m^i·h_i over the Cartan basis h_i for the least m ≥ 1 on
@@ -132,23 +139,19 @@ def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
     subspace, with coroots and integrality established."""
     if g.bracket_spaces(a, a).dim != 0:
         raise DomainError("Cartan subspace not abelian")
-    ident = Matrix.identity(g.dim)
     components = [(Subspace.full(g.dim), ())]
     for h in a.vectors():
-        m = g.ad(h)
-        mp = minimal_polynomial(m)
-        roots_h, rem = poly_rational_roots(mp)
-        if rem or len(set(roots_h)) != len(roots_h):
+        try:
+            eigen = ad_eigenspaces(g, h)
+        except DomainError:
             raise DomainError(
                 "Cartan subspace not split (ad not rationally"
                 " diagonalizable)"
-            )
-        eigen = [(lam, kernel(m - ident.scale(lam)))
-                 for lam in sorted(set(roots_h))]
+            ) from None
         nxt = []
         for space, vals in components:
             found = 0
-            for lam, ker in eigen:
+            for lam, ker in eigen.items():
                 es = space.intersect(ker)
                 if es.dim:
                     nxt.append((es, vals + (lam,)))
@@ -191,10 +194,7 @@ def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
         if val == 0:
             raise InternalCheckError("α vanishes on a ∩ [g_α, g_-α]")
         coroots[alpha] = vec_scale(Q(2) / val, h)
-    rd = RootDatum(
-        g, a, levi, roots, root_spaces, coroots,
-        root_lattice_rank=a.intersect(g.derived_algebra()).dim,
-    )
+    rd = RootDatum(g, a, levi, roots, root_spaces, coroots)
     for alpha in roots:
         if rd.eval_root(alpha, coroots[alpha]) != 2:
             raise InternalCheckError("coroot normalization failed")
@@ -221,10 +221,6 @@ class SimpleSystem:
         self.fundamental_weights = fundamental_weights
         self.reflections = tuple(rd.reflection(a) for a in self.simples)
         self._duality = None  # dict, filled by duality_involution
-
-    @property
-    def rank(self):
-        return len(self.simples)
 
     def positive_roots(self):
         return frozenset(a for a, j in self.levels.items() if j > 0)
@@ -305,17 +301,39 @@ def simple_system(rd: RootDatum, pb: ParabolicData) -> SimpleSystem:
     return SimpleSystem(rd, pb, xi, levels, simples, cw, fw)
 
 
+def local_simple_system(base_ss: SimpleSystem, l: Subspace,
+                        chamber: ParabolicData) -> SimpleSystem:
+    """Simple system of a chamber over the root datum of l, a Levi of
+    the chamber: check that l is abelian, decompose g under l, check
+    that l is the zero part, and read the simples off the chamber.
+
+    The base chamber over its own Cartan is base_ss, and the steps
+    would rebuild it: l and ml both complement nil(chamber), so dim l =
+    dim ml, and l, the Cartan, lies in ml, so l = ml.  (In so(3,1),
+    ml = a + so(2) is larger than a, so the common Levi of the base
+    chamber and its opposite, ml, is not the Cartan and takes the
+    steps.)"""
+    if chamber == base_ss.chamber and l == base_ss.rd.cartan:
+        return base_ss
+    g = chamber.ambient
+    if g.bracket_spaces(l, l).dim != 0:
+        raise DomainError("common Levi not abelian; split part"
+                          " extraction not implemented for this case")
+    rd = root_decomposition(g, l)
+    if rd.levi != l:
+        raise InternalCheckError("common Levi is not its own"
+                                 " centralizer's zero part")
+    return simple_system(rd, chamber)
+
+
 def parabolic_from_subset(ss: SimpleSystem, J) -> ParabolicData:
     """q_J = ml ⊕ ⊕_{α(ξ_J) ≤ 0} g_α with ξ_J = Σ_{α∈J} ξ^α."""
-    rd = ss.rd
-    g = rd.ambient
     J = frozenset(J)
     if not J <= set(ss.simples):
         raise DomainError("J not a subset of the simple roots")
     xi = lincomb([1] * len(J), [ss.fundamental_coweights[a] for a in J],
-                 g.dim)
-    space = rd.span_of(a for a in rd.roots if rd.eval_root(a, xi) <= 0)
-    pd = make_parabolic(g, space)
+                 ss.rd.ambient.dim)
+    pd = ss.rd.nonpositive_parabolic(xi)
     pd.grading_element = xi
     return pd
 
@@ -459,8 +477,7 @@ def _transport_to_ml(ss: SimpleSystem, l: Subspace):
     pb = ss.chamber
     if l.dim != ss.rd.levi.dim:
         raise InternalCheckError("common Levi has wrong dimension")
-    if l.sum(pb.nilradical) != pb.space or \
-            l.intersect(pb.nilradical).dim != 0:
+    if not pb.has_levi(l):
         raise InternalCheckError("common Levi not a complement in the"
                                  " base chamber")
     if l == ss.rd.levi:
@@ -503,7 +520,12 @@ def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
     type of q^α, which standardize_type reads off its root set.  So
     the answer is type_of_any(base_ss, q^α), without the common Levi of
     q^α, its two grading lifts and the filtration of q^α per α.
+
+    When ss is base_ss, each q^α contains base_ss.chamber ⊇ ml, so it
+    is in standard position already, and its type is {α}.
     """
+    if ss is base_ss:
+        return {a: a for a in ss.simples}
     move = _transport_to_ml(base_ss,
                             common_levi(ss.chamber, base_ss.chamber))
     out = {}

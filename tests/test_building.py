@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import liepar.building as building
 import liepar.rootdata as rootdata
 from liepar.building import (
     ChamberSystem,
@@ -36,7 +37,7 @@ from liepar.catalog import (
     standard_minimal_levi,
     standard_simple_system,
 )
-from liepar.errors import DomainError
+from liepar.errors import DomainError, InternalCheckError
 from liepar.parabolic import make_parabolic, opposite
 from liepar.ratmat import Subspace
 
@@ -95,6 +96,20 @@ def test_lie_apartments_match_models():
         # chambers round-trip through parabolics
         c = next(iter(ap.thin.chambers))
         assert ap.chamber_of(ap.parabolic(c)) == c
+
+
+@pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2),
+                                  lambda: gl(4)], ids=["gl3", "so32", "gl4"])
+def test_nonpositive_parabolic_of_a_regular_element(make):
+    # no root vanishes on a regular element, so α(h) ≤ 0 and α(h) < 0
+    # pick the same roots: the base chamber of the Lie apartment
+    g = make()
+    rd = standard_minimal_levi(g)[1]
+    h = rd.regular_element()
+    pb = rd.nonpositive_parabolic(h)
+    assert pb.space == rd.span_of(
+        a for a in rd.roots if rd.eval_root(a, h) < 0)
+    assert lie_apartment(g, rd).ss.chamber == pb
 
 
 ALGEBRAS = {"gl3": lambda: gl(3), "gl4": lambda: gl(4),
@@ -213,9 +228,37 @@ def test_delta_parabolic_from_the_base_chamber_transports_nothing(
     def transported(*args):
         raise AssertionError("base chamber transported onto itself")
 
-    monkeypatch.setattr(rootdata, "base_types", transported)
+    monkeypatch.setattr(rootdata, "_transport_to_ml", transported)
+    monkeypatch.setattr(rootdata, "common_levi", transported)
     assert delta_parabolic(pb, opposite(pb), ss) == word
     assert delta_parabolic(pb, pb, ss) == ()
+
+
+def grown(g, p, q, l):
+    # l plus a line of nil(p): a complement of neither nilradical
+    return l.sum(Subspace.from_vectors(g.dim, p.nilradical.vectors()[:1]))
+
+
+def moved_in_p(g, p, q, l):
+    # l moved by exp(nil(p)): still a Levi of p, but no longer inside q
+    return g.apply_auto(g.exp_ad(p.nilradical.vectors()[0]), l)
+
+
+def moved_in_q(g, p, q, l):
+    return moved_in_p(g, q, p, l)
+
+
+@pytest.mark.parametrize("mutate", [grown, moved_in_p, moved_in_q])
+def test_delta_parabolic_rejects_a_common_levi_off_the_nilradical(
+        mutate, monkeypatch):
+    g = gl(3)
+    ss = standard_simple_system(g)
+    pc = opposite(ss.chamber, ss.xi)
+    real = building.common_levi
+    monkeypatch.setattr(building, "common_levi",
+                        lambda p, q: mutate(g, p, q, real(p, q)))
+    with pytest.raises(InternalCheckError, match="not a complement"):
+        delta_parabolic(ss.chamber, pc, ss)
 
 
 def test_delta_parabolic_so31_is_not_split():

@@ -1,4 +1,3 @@
-from fractions import Fraction as Q
 
 import pytest
 

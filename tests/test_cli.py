@@ -142,17 +142,11 @@ def test_building_needs_input(capsys):
     assert code == 1
 
 
-def test_config_tetrahedron_matches_library(capsys):
-    from liepar.config import (
-        incidence_report,
-        report_json,
-        tetrahedron_example,
-    )
-
+def test_config_tetrahedron_matches_golden(capsys):
     code, out = run(capsys, ["config", "tetrahedron"])
     assert code == 0
-    _, _, proj = tetrahedron_example()
-    assert out.strip() == report_json(incidence_report(proj))
+    golden = Path(liepar.__file__).parent / "golden" / "tetrahedron.json"
+    assert out.strip() == golden.read_bytes().decode()
 
 
 def test_config_custom_witness(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 import liepar
 
 MODULES = sorted(Path(liepar.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 TRACING = Path(liepar.__file__).parents[2] / "perfbench" / "tracing.py"
 
 # private name -> the one module that may use it; the others go through
@@ -141,3 +142,31 @@ def test_catalog_loads_neither_building_nor_rootdata():
     eager = [name for name in imported_at_load(path)
              if {"building", "rootdata"} & set(name.split("."))]
     assert eager == [], "catalog.py imports %s at load" % eager
+
+
+def unused_imports(path):
+    """Names a module imports and never reads; a name listed in its
+    __all__ counts as read."""
+    module = tree(path)
+    bound = {}
+    for n in ast.walk(module):
+        if isinstance(n, ast.Import) or isinstance(n, ast.ImportFrom) \
+                and n.module != "__future__":
+            for a in n.names:
+                name = a.asname or a.name.split(".")[0]
+                bound.setdefault(name, n.lineno)
+    read = {n.id for n in ast.walk(module) if isinstance(n, ast.Name)}
+    for n in module.body:
+        if isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in n.targets):
+            read |= set(ast.literal_eval(n.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_no_unused_imports(path):
+    unused = unused_imports(path)
+    assert unused == [], "%s: unused imports %s" % (path.name, unused)

@@ -257,7 +257,10 @@ def test_exp_ad():
     zero = (Q(0),) * g.dim
     assert g.exp_ad(zero) == Matrix.identity(g.dim)
     x = coords(g, E(2, 0, 1))
-    a = g.exp_ad(x, check=True)
+    a = g.exp_ad(x)
+    g.check_automorphism(a)
+    with pytest.raises(InternalCheckError, match="not an automorphism"):
+        g.check_automorphism(Matrix.identity(g.dim).scale(2))
     assert a * g.exp_ad(tuple(-c for c in x)) == Matrix.identity(g.dim)
     # compare against conjugation by I + E12 in the realization
     u = Matrix.identity(2) + E(2, 0, 1)

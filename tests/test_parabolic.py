@@ -127,8 +127,9 @@ def test_costandard_and_weakly_opposite():
     g = gl(3)
     pb = standard_borel(g)
     q = first_maximal(g)
-    assert is_costandard(pb, q, check=True)
-    assert is_costandard(q, pb, check=True)
+    assert is_costandard(pb, q) and is_costandard(q, pb)
+    # a costandard pair meets in a parabolic
+    assert is_parabolic(g, pb.space.intersect(q.space))[0]
     op = opposite(pb)
     assert is_weakly_opposite(q, op) and not is_opposite(q, op)
 
@@ -159,10 +160,27 @@ def test_common_levi_gl2():
     g, b = upper_borel(2)
     pd = make_parabolic(g, b)
     op = opposite(pd)
-    l = common_levi(pd, op, check_complement=True)
+    l = common_levi(pd, op)
     assert l == span(g, [E(2, 0, 0), E(2, 1, 1)])
+    assert pd.has_levi(l) and op.has_levi(l)
     xi_p, xi_q = compatible_lifts(pd, op)
     assert vec_is_zero(g.bracket(xi_p, xi_q))
+
+
+def test_has_levi_rejects_non_complements():
+    g = gl(3)
+    pb = standard_borel(g)
+    op = opposite(pb)
+    l = common_levi(pb, op)
+    assert pb.has_levi(l) and op.has_levi(l)
+    lv, nv = l.vectors(), pb.nilradical.vectors()
+    for bad in (
+        l.sum(Subspace.from_vectors(g.dim, nv[:1])),  # meets nil(pb)
+        Subspace.from_vectors(g.dim, lv[1:]),  # misses a direction
+        Subspace.from_vectors(g.dim, lv[1:] + nv[:1]),  # both
+        Subspace.from_vectors(g.dim, lv[1:] + op.nilradical.vectors()[:1]),
+    ):
+        assert not pb.has_levi(bad)
 
 
 def test_conjugate_parabolic():

@@ -9,12 +9,13 @@ from liepar.catalog import (
     standard_minimal_levi,
     standard_simple_system,
 )
-from liepar.errors import DomainError
-from liepar.parabolic import conjugate_parabolic, opposite
+from liepar.errors import DomainError, InternalCheckError
+from liepar.parabolic import common_levi, conjugate_parabolic, opposite
 from liepar.ratmat import lincomb
 from liepar.rootdata import (
     base_types,
     duality_involution,
+    local_simple_system,
     parabolic_from_subset,
     root_decomposition,
     root_reflection,
@@ -203,3 +204,49 @@ def test_base_types_matches_type_of_any_per_simple(make):
         assert base_types(ss, base) == want
     # the conjugates really leave the standard apartment
     assert not systems[2].chamber.space.contains(rd.levi)
+
+
+def same_system(a, b):
+    return (a.chamber == b.chamber and a.rd.cartan == b.rd.cartan
+            and a.rd.levi == b.rd.levi and a.rd.roots == b.rd.roots
+            and a.rd.root_spaces == b.rd.root_spaces
+            and a.rd.coroots == b.rd.coroots and a.simples == b.simples
+            and a.levels == b.levels and a.xi == b.xi
+            and a.fundamental_coweights == b.fundamental_coweights
+            and a.fundamental_weights == b.fundamental_weights)
+
+
+@pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2)],
+                         ids=["gl3", "so32"])
+def test_local_simple_system(make, monkeypatch):
+    g = make()
+    base = standard_simple_system(g)
+    rd = base.rd
+    e = rd.root_spaces[sorted(base.positive_roots())[0]].vectors()[0]
+    u = g.exp_ad(e)
+    l = g.apply_auto(u, rd.cartan)
+    chamber = conjugate_parabolic(base.chamber, u)
+    assert not chamber.space.contains(rd.levi)
+    # the four steps on a conjugated chamber
+    assert same_system(local_simple_system(base, l, chamber),
+                       simple_system(root_decomposition(g, l), chamber))
+
+    def rebuilt(*args):
+        raise AssertionError("base simple system rebuilt")
+
+    # the base chamber over its own Cartan is the base system itself
+    monkeypatch.setattr("liepar.rootdata.root_decomposition", rebuilt)
+    monkeypatch.setattr("liepar.rootdata.simple_system", rebuilt)
+    assert local_simple_system(base, rd.cartan, base.chamber) is base
+
+
+def test_local_simple_system_checks_its_levi():
+    g = gl(3)
+    base = standard_simple_system(g)
+    q = parabolic_from_subset(base, {base.simples[0]})
+    l = common_levi(q, opposite(q, q.grading_element))  # gl(2) + gl(1)
+    with pytest.raises(DomainError, match="common Levi not abelian"):
+        local_simple_system(base, l, base.chamber)
+    # the centre is abelian, but its centralizer is all of gl(3)
+    with pytest.raises(InternalCheckError, match="zero part"):
+        local_simple_system(base, g.center(), base.chamber)
