@@ -324,7 +324,7 @@ def _config_from_witness(arg):
     """Witness JSON: {"algebra": [...], "points": [...]} or
     {"algebra": [...], "planes": [[u,v],...]}, plus "center":
     vectors spanning the subspace whose stabilizer is the center."""
-    from .catalog import FlagSpec, flag_stabilizer, realization_size
+    from .catalog import FlagSpec, entry, flag_stabilizer, realization_size
     from .config import (
         cross_configuration,
         project_configuration,
@@ -350,7 +350,8 @@ def _config_from_witness(arg):
         raise DomainError("witness needs 'points' or 'planes'")
     center = Subspace.from_vectors(
         n, _vectors(data["center"], "witness center", n))
-    q = flag_stabilizer(g, FlagSpec(n, [center]))
+    # with the algebra's form, a non-isotropic center is refused as such
+    q = flag_stabilizer(g, FlagSpec(n, [center], form=entry(g).form))
     return project_configuration(q, cfg)
 
 

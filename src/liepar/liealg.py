@@ -1,15 +1,14 @@
 """Structure-constant Lie algebras over the rationals.
 
 Brackets, transporters, normalizers/centralizers, induced filtrations,
-nilpotency tests, trace forms, ad-Jordan semisimple parts, terminating
-exponentials, and quotient algebras.  An algebra may carry a faithful
-matrix realization; its trace form then serves as the invariant form
-used for perps.
+nilpotency tests, trace forms, terminating exponentials, and quotient
+algebras.  An algebra may carry a faithful matrix realization; its
+trace form then serves as the invariant form used for perps.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, combinations, product
 from math import factorial, gcd
 from typing import Sequence
 
@@ -87,28 +86,6 @@ def _poly_lcm(a, b):
             for j, d in enumerate(b):
                 prod[i + j] += c * d
     return _poly_monic(_poly_trim(prod))
-
-
-def _poly_deriv(p):
-    return _poly_trim([Q(i) * c for i, c in enumerate(p)][1:])
-
-
-def poly_squarefree_part(p):
-    g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) <= 1:
-        return _poly_monic(list(p))
-    q = _poly_exact_div(p, g, "squarefree part: gcd(p, p') does not"
-                        " divide p")
-    return _poly_monic(q)
-
-
-def poly_eval_matrix(p, m: Matrix) -> Matrix:
-    out = Matrix.zero(m.rows, m.cols)
-    for c in reversed(p):
-        out = out * m
-        if c:
-            out = out + Matrix.identity(m.rows).scale(c)
-    return out
 
 
 def poly_rational_roots(p):
@@ -215,15 +192,6 @@ def _vector_annihilator(m: Matrix, v):
         k += 1
 
 
-def _matrix_inverse(m: Matrix) -> Matrix:
-    n = m.rows
-    aug = [r + e for r, e in zip(m.data, Matrix.identity(n).data)]
-    red = rref(Matrix(aug)).data
-    if len(red) < n or any(red[i][i] != 1 for i in range(n)):
-        raise DomainError("matrix not invertible")
-    return Matrix([r[n:] for r in red])
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -241,6 +209,7 @@ class Filtration:
                 raise DomainError("filtration indices not contiguous")
             if not self.levels[b].contains(self.levels[a]):
                 raise DomainError("filtration not monotone")
+        self._adapted = None
 
     def level(self, k: int) -> Subspace:
         if k < self.min_index:
@@ -252,13 +221,29 @@ class Filtration:
     def indices(self):
         return range(self.min_index, self.max_index + 1)
 
+    def adapted_basis(self) -> dict:
+        """{j: W_j}, built once: W_min = f^min and, for j > min, W_j the
+        span of the residuals of f^j's basis modulo f^(j-1).  The
+        residuals vanish on f^(j-1)'s pivot columns, so
+        W_j ⊕ f^(j-1) = f^j, and the W_j together form a basis of
+        f^max adapted to the filtration."""
+        if self._adapted is None:
+            lo = self.min_index
+            self._adapted = {lo: self.levels[lo]}
+            for j in range(lo + 1, self.max_index + 1):
+                below = self.levels[j - 1]
+                self._adapted[j] = Subspace.from_vectors(
+                    below.ambient_dim,
+                    [below.reduce(x) for x in self.levels[j].vectors()])
+        return self._adapted
+
 
 def _check_compatibility(g: LieAlgebra, f: Filtration):
     """Raise InternalCheckError, naming the first failing pair i ≤ j,
     unless [f^i, f^j] ⊆ f^(i+j) for all i, j in f.indices() (the target
     index clamped like ``level``).
 
-    Only the pairs that can fail are bracketed; the others hold:
+    Only the pairs that can fail are tested; the others hold:
 
     - [f^i, f^j] = [f^j, f^i] as subspaces ([x, y] = -[y, x]) with the
       same target f^(j+i), so each unordered pair i ≤ j is tested once;
@@ -268,18 +253,38 @@ def _check_compatibility(g: LieAlgebra, f: Filtration):
     - if the target level is all of g, it contains every bracket, and so
       does every target f^(i+j') ⊇ f^(i+j) with j' ≥ j.
 
-    So the predicate tested is the full pairwise one, not a weaker
-    certificate.
+    A tested pair brackets only its adapted pieces: it holds iff
+    [W_i, W_j] ⊆ f^(i+j), with W the adapted basis.  Proof: take the
+    pairs in the loop's order, i then j, and suppose every earlier pair
+    holds (it was tested, or skipped as above).  f^i = W_i + f^(i-1) for
+    i > min and f^min = W_min, likewise for j, so by bilinearity
+    [f^i, f^j] ⊆ [W_i, W_j] + [f^(i-1), f^j] + [f^i, f^(j-1)], the last
+    two terms present only when i > min, resp. j > min.  The pair
+    (i-1, j) comes earlier and gives [f^(i-1), f^j] ⊆ f^(i+j-1); the
+    pair (i, j-1), or (i-1, i) when j = i, comes earlier and gives
+    [f^i, f^(j-1)] ⊆ f^(i+j-1).  Clamped targets are monotone, so
+    f^(i+j-1) ⊆ f^(i+j).  Hence (i, j) holds iff [W_i, W_j] ⊆ f^(i+j),
+    and conversely [W_i, W_j] ⊆ [f^i, f^j].  So the first failing pair
+    named is that of the full pairwise predicate, not of a weaker
+    certificate.  On the diagonal [u, v] = -[v, u] and [u, u] = 0, so
+    only u before v in W_i is bracketed.  The W_j are independent, so
+    Σ dim W_j ≤ dim g = n, and the whole check makes at most n(n-1)/2
+    brackets, one per unordered pair of distinct adapted vectors.
     """
+    adapted = f.adapted_basis()
     for i in f.indices():
         fi = f.level(i)
         if fi.dim == 0:
             continue
+        wi = adapted[i].vectors()
         for j in range(i, f.max_index + 1):
             fj, target = f.level(j), f.level(i + j)
             if target.dim == g.dim:
                 break
-            if not target.contains(g.bracket_spaces(fi, fj)):
+            pairs = (combinations(wi, 2) if j == i
+                     else product(wi, adapted[j].vectors()))
+            if not all(target.contains_vector(g.bracket(u, v))
+                       for u, v in pairs):
                 raise InternalCheckError(
                     "filtration compatibility fails at (i, j) = (%d, %d):"
                     " [f^i, f^j] not in f^(i+j); dim f^i = %d,"
@@ -574,33 +579,13 @@ class LieAlgebra:
         _check_compatibility(self, f)
         return f
 
-    # -- nilpotent cone, Jordan, exp ----------------------------------------
+    # -- nilpotent cone, exp ------------------------------------------------
 
     def in_nilpotent_cone(self, x) -> bool:
         if not self.derived_algebra().contains_vector(x):
             return False
         mp = minimal_polynomial(self.ad(x))
         return all(c == 0 for c in mp[:-1])
-
-    def is_ad_semisimple(self, x) -> bool:
-        mp = minimal_polynomial(self.ad(x))
-        g = _poly_gcd(mp, _poly_deriv(mp))
-        return len(g) <= 1
-
-    def ad_semisimple_part(self, x) -> Matrix:
-        """Semisimple part of ad(x) via Newton iteration on the
-        squarefree part of the minimal polynomial."""
-        m = self.ad(x)
-        mp = minimal_polynomial(m)
-        f = poly_squarefree_part(mp)
-        fp = _poly_deriv(f)
-        s = m
-        for _ in range(self.dim + 1):
-            fs = poly_eval_matrix(f, s)
-            if fs.is_zero():
-                return s
-            s = s - fs * _matrix_inverse(poly_eval_matrix(fp, s))
-        raise InternalCheckError("Jordan iteration did not converge")
 
     def exp_ad(self, x) -> Matrix:
         mp = minimal_polynomial(self.ad(x))

@@ -165,6 +165,38 @@ def test_config_custom_witness(tmp_path, capsys):
     assert len(data["elements"]["1"]) == 3
 
 
+def test_config_witness_refuses_a_non_isotropic_center(capsys):
+    # so(3,2): e0, e1 and e2, e3 are hyperbolic pairs, so Q(e0 + e1) = 2
+    spec = {
+        "algebra": ["so", 3, 2],
+        "planes": [[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]],
+                   [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]],
+        "center": [[1, 1, 0, 0, 0]],
+    }
+    code, out = run(capsys, ["config", json.dumps(spec)])
+    assert code == 1
+    assert json.loads(out) == {"error": "domain",
+                               "message": "flag member not isotropic"}
+
+
+def test_config_witness_without_a_form_is_unchanged(capsys):
+    # gl(3) carries no form: the center's stabilizer is the formless one
+    from liepar.catalog import FlagSpec, flag_stabilizer, gl
+    from liepar.config import (incidence_report, project_configuration,
+                               report_json, simplex_configuration)
+    from liepar.ratmat import Subspace
+
+    points = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    spec = {"algebra": ["gl", 3], "points": points, "center": [[1, 1, 2]]}
+    code, out = run(capsys, ["config", json.dumps(spec)])
+    assert code == 0
+    g = gl(3)
+    center = Subspace.from_vectors(3, [(1, 1, 2)])
+    q = flag_stabilizer(g, FlagSpec(3, [center]))
+    proj = project_configuration(q, simplex_configuration(g, points))
+    assert out == report_json(incidence_report(proj)) + "\n"
+
+
 def test_stdin_algebra(capsys, monkeypatch):
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(json.dumps({"algebra": ["gl", 2]}))

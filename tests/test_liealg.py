@@ -203,6 +203,61 @@ def test_compatibility_check_names_the_failing_pair(m, extra, pair, dims):
     )
 
 
+def check_adapted(f):
+    """W_min spans f^min, and W_j ⊕ f^(j-1) = f^j above it."""
+    w = f.adapted_basis()
+    assert sorted(w) == list(f.indices())
+    assert w[f.min_index] == f.level(f.min_index)
+    for j in f.indices()[1:]:
+        below = f.level(j - 1)
+        assert w[j].intersect(below).dim == 0
+        assert w[j].sum(below) == f.level(j)
+    # built once
+    assert f.adapted_basis() is w
+
+
+@pytest.mark.parametrize("spec", ["gl3", "so32", "gl4"])
+def test_adapted_basis_of_standard_parabolics(spec):
+    g = {"gl3": lambda: gl(3), "so32": lambda: so(3, 2),
+         "gl4": lambda: gl(4)}[spec]()
+    for p in all_standard_parabolics(g).values():
+        check_adapted(p.filtration)
+
+
+def test_adapted_basis_with_nonzero_bottom_level():
+    # f^-1 = strictly upper, f^0 = upper triangular, f^1 = gl(3)
+    g = gl(3)
+    upper = span(g, [E(3, 0, 1), E(3, 0, 2), E(3, 1, 2)])
+    borel = upper.sum(span(g, [E(3, i, i) for i in range(3)]))
+    f = Filtration({-1: upper, 0: borel, 1: g.full_space()})
+    assert f.level(f.min_index).dim == 3
+    check_adapted(f)
+    assert [f.adapted_basis()[j].dim for j in f.indices()] == [3, 3, 3]
+
+
+def test_compatibility_check_brackets_each_adapted_pair_once(monkeypatch):
+    # gl(4) Borel: the check spans no bracket space and makes at most
+    # one bracket per unordered pair of adapted basis vectors
+    g = gl(4)
+    pb = standard_borel(g)
+    f = pb.filtration
+    calls = {"bracket": 0, "bracket_spaces": 0}
+
+    def counted(name):
+        orig = getattr(LieAlgebra, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(LieAlgebra, name, counted(name))
+    _check_compatibility(g, Filtration(f.levels))
+    assert calls["bracket_spaces"] == 0
+    assert 0 < calls["bracket"] <= g.dim * (g.dim + 1) // 2
+
+
 def test_nilpotent_cone():
     g = gl(2)
     assert g.in_nilpotent_cone(coords(g, E(2, 0, 1)))
@@ -227,29 +282,6 @@ def test_is_reductive():
     a2 = Matrix([[0, 0], [1, 0]])
     g2 = LieAlgebra.from_matrices([a1, a2])
     assert g2.is_reductive() is None
-
-
-def test_jordan_semisimple_part():
-    g = gl(2)
-    x = coords(g, E(2, 0, 1))
-    assert g.ad_semisimple_part(x).is_zero()
-    d = coords(g, E(2, 0, 0).scale(Q(1)) + E(2, 1, 1).scale(Q(2)))
-    assert g.ad_semisimple_part(d) == g.ad(d)
-    # E11 + E12 has distinct eigenvalues 1, 0 and is itself
-    # semisimple, so its ad-semisimple part is its own ad matrix
-    x = coords(g, E(2, 0, 0) + E(2, 0, 1))
-    assert g.is_ad_semisimple(x)
-    assert g.ad_semisimple_part(x) == g.ad(x)
-
-
-def test_jordan_nontrivial_gl3():
-    g = gl(3)
-    x = coords(g, E(3, 0, 0) + E(3, 1, 1) + E(3, 0, 1))
-    assert not g.is_ad_semisimple(x)
-    s = coords(g, E(3, 0, 0) + E(3, 1, 1))
-    assert g.ad_semisimple_part(x) == g.ad(s)
-    npart = g.ad(x) - g.ad_semisimple_part(x)
-    assert (npart ** g.dim).is_zero()
 
 
 def test_exp_ad():
