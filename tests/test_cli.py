@@ -150,11 +150,13 @@ def test_config_tetrahedron_matches_golden(capsys):
 
 
 def test_config_custom_witness(tmp_path, capsys):
-    spec = {
-        "algebra": ["gl", 3],
-        "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        "center": [[1, 1, 1]],
-    }
+    from liepar.catalog import FlagSpec, flag_stabilizer, gl
+    from liepar.config import (incidence_report, project_configuration,
+                               report_json, simplex_configuration)
+    from liepar.ratmat import Subspace
+
+    points = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    spec = {"algebra": ["gl", 3], "points": points, "center": [[1, 1, 1]]}
     f = tmp_path / "witness.json"
     f.write_text(json.dumps(spec))
     code, out = run(capsys, ["config", "@%s" % f])
@@ -163,35 +165,9 @@ def test_config_custom_witness(tmp_path, capsys):
     # the quotient line only retains one type: the three frame points
     assert data["types"] == ["1"]
     assert len(data["elements"]["1"]) == 3
-
-
-def test_config_witness_refuses_a_non_isotropic_center(capsys):
-    # so(3,2): e0, e1 and e2, e3 are hyperbolic pairs, so Q(e0 + e1) = 2
-    spec = {
-        "algebra": ["so", 3, 2],
-        "planes": [[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]],
-                   [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]],
-        "center": [[1, 1, 0, 0, 0]],
-    }
-    code, out = run(capsys, ["config", json.dumps(spec)])
-    assert code == 1
-    assert json.loads(out) == {"error": "domain",
-                               "message": "flag member not isotropic"}
-
-
-def test_config_witness_without_a_form_is_unchanged(capsys):
     # gl(3) carries no form: the center's stabilizer is the formless one
-    from liepar.catalog import FlagSpec, flag_stabilizer, gl
-    from liepar.config import (incidence_report, project_configuration,
-                               report_json, simplex_configuration)
-    from liepar.ratmat import Subspace
-
-    points = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    spec = {"algebra": ["gl", 3], "points": points, "center": [[1, 1, 2]]}
-    code, out = run(capsys, ["config", json.dumps(spec)])
-    assert code == 0
     g = gl(3)
-    center = Subspace.from_vectors(3, [(1, 1, 2)])
+    center = Subspace.from_vectors(3, [(1, 1, 1)])
     q = flag_stabilizer(g, FlagSpec(3, [center]))
     proj = project_configuration(q, simplex_configuration(g, points))
     assert out == report_json(incidence_report(proj)) + "\n"
@@ -228,6 +204,11 @@ def test_space_from_file(tmp_path, capsys):
                 ' "center": [[1, 1]]}'], None, "witness points: 1.5"),
     (["config", '{"algebra": ["gl", 2], "points": ["10", "01"],'
                 ' "center": [[1, 1]]}'], None, "witness points"),
+    # so(3,2) pairs e0, e1 and e2, e3 hyperbolically: Q(e0 + e1) = 2
+    (["config", '{"algebra": ["so", 3, 2], "planes": [[[1, 0, 0, 0, 0],'
+                ' [0, 1, 0, 0, 0]], [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]],'
+                ' "center": [[1, 1, 0, 0, 0]]}'], None,
+     "flag member not isotropic"),
     (["check", "gl:2", "--space", "@{tmp}/latin1.json"], None,
      "--space: {tmp}/latin1.json is not UTF-8"),
     (["make", "-"], "closed", "stdin"),
@@ -237,7 +218,8 @@ def test_space_from_file(tmp_path, capsys):
 ], ids=["catalog-rejects", "malformed-json", "missing-file",
         "wrong-length", "bad-model", "witness-algebra",
         "witness-empty-algebra", "stdin-empty-algebra", "stdin-algebra-int",
-        "float-entry", "witness-float", "string-vector", "not-utf8-file",
+        "float-entry", "witness-float", "string-vector",
+        "non-isotropic-center", "not-utf8-file",
         "closed-stdin", "missing-algebra", "unknown-verb"])
 def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
                                        argv, stdin, named):

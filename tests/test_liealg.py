@@ -216,11 +216,11 @@ def check_adapted(f):
     assert f.adapted_basis() is w
 
 
-@pytest.mark.parametrize("spec", ["gl3", "so32", "gl4"])
-def test_adapted_basis_of_standard_parabolics(spec):
-    g = {"gl3": lambda: gl(3), "so32": lambda: so(3, 2),
-         "gl4": lambda: gl(4)}[spec]()
-    for p in all_standard_parabolics(g).values():
+@pytest.mark.parametrize("build, args", [(gl, (3,)), (so, (3, 2)),
+                                         (gl, (4,))],
+                         ids=["gl3", "so32", "gl4"])
+def test_adapted_basis_of_standard_parabolics(build, args):
+    for p in all_standard_parabolics(build(*args)).values():
         check_adapted(p.filtration)
 
 
@@ -239,8 +239,7 @@ def test_compatibility_check_brackets_each_adapted_pair_once(monkeypatch):
     # gl(4) Borel: the check spans no bracket space and makes at most
     # one bracket per unordered pair of adapted basis vectors
     g = gl(4)
-    pb = standard_borel(g)
-    f = pb.filtration
+    f = standard_borel(g).filtration
     calls = {"bracket": 0, "bracket_spaces": 0}
 
     def counted(name):
