@@ -22,7 +22,6 @@ from .ratmat import (
     kernel,
     lincomb,
     rref,
-    vec_is_zero,
     zero_vec,
 )
 
@@ -65,35 +64,10 @@ def _poly_exact_div(a, b, check):
     return q
 
 
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(a) if a else a
-
-
-def _poly_lcm(a, b):
-    if not a:
-        return list(b)
-    if not b:
-        return list(a)
-    q = _poly_exact_div(a, _poly_gcd(a, b), "polynomial lcm: gcd(a, b)"
-                        " does not divide a")
-    prod = [Q(0)] * (len(q) + len(b) - 1)
-    for i, c in enumerate(q):
-        if c:
-            for j, d in enumerate(b):
-                prod[i + j] += c * d
-    return _poly_monic(_poly_trim(prod))
-
-
 def poly_rational_roots(p):
-    """All rational roots with multiplicity: list of (root, mult).
-
-    Returns (roots, remainder_degree); remainder_degree > 0 means the
-    polynomial does not split into rational linear factors.
-    """
+    """Rational roots of p: (roots, remainder_degree), each root listed
+    once per multiplicity; remainder_degree > 0 means the polynomial
+    does not split into rational linear factors."""
     p = _poly_monic(list(p))
     roots = []
     # clear denominators, then rational root theorem on the result
@@ -154,42 +128,32 @@ def _divisors(n):
 
 
 def minimal_polynomial(m: Matrix):
-    """Monic minimal polynomial of m, by Krylov iteration per basis
-    vector and lcm over vectors (low-to-high coefficient list)."""
-    n = m.rows
-    mp = [Q(1)]
-    for j in range(n):
-        v = tuple(Q(1) if i == j else Q(0) for i in range(n))
-        ann = _vector_annihilator(m, v)
-        mp = _poly_lcm(mp, ann)
-        if len(mp) == n + 1:
-            break
-    return mp
+    """Monic minimal polynomial of m (low-to-high coefficient list).
 
-
-def _vector_annihilator(m: Matrix, v):
-    # echelon of Krylov vectors, each tagged with the poly producing it
-    basis = []  # (reduced vec, poly, pivot)
-    raw = v
-    k = 0
+    It is the annihilator of I under X ↦ X·m, since a polynomial p acts
+    on I as p(m): one Krylov echelon of the flattened powers I, m, m²,
+    …, each tagged with the polynomial producing it, until a power
+    reduces to zero."""
+    basis = []  # (nonzeros of a reduced flat power, poly, pivot)
+    power = Matrix.identity(m.rows)
     while True:
-        w = list(raw)
-        q = [Q(0)] * k + [Q(1)]  # t^k
+        w = list(_flat(power))
+        q = [Q(0)] * len(basis) + [Q(1)]  # t^k for power = m^k
         for bv, bp, piv in basis:
             f = w[piv]
             if f:
-                w = [a - f * b for a, b in zip(w, bv)]
+                for i, b in bv:
+                    w[i] -= f * b
                 for i, c in enumerate(bp):
                     q[i] -= f * c
-        if vec_is_zero(w):
-            return _poly_monic(_poly_trim(q))
-        piv = next(i for i, x in enumerate(w) if x != 0)
+        if not any(w):
+            # the basis polys have degree < k, so q is monic
+            return q
+        piv = next(i for i, x in enumerate(w) if x)
         inv = 1 / w[piv]
-        basis.append(
-            ([x * inv for x in w], [c * inv for c in q] + [Q(0)], piv)
-        )
-        raw = m.mulvec(raw)
-        k += 1
+        basis.append(([(i, x * inv) for i, x in enumerate(w) if x],
+                      [c * inv for c in q], piv))
+        power = power * m
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +546,22 @@ class LieAlgebra:
     # -- nilpotent cone, exp ------------------------------------------------
 
     def in_nilpotent_cone(self, x) -> bool:
-        if not self.derived_algebra().contains_vector(x):
-            return False
-        mp = minimal_polynomial(self.ad(x))
-        return all(c == 0 for c in mp[:-1])
+        return (self.derived_algebra().contains_vector(x)
+                and (self.ad(x) ** self.dim).is_zero())
 
     def exp_ad(self, x) -> Matrix:
-        mp = minimal_polynomial(self.ad(x))
-        if any(c != 0 for c in mp[:-1]):
-            raise DomainError("exp_ad requires an ad-nilpotent element")
+        """I + Σ ad(x)^k/k!, summed until a power of ad(x) vanishes;
+        DomainError if none does for k ≤ dim g (x not ad-nilpotent)."""
         m = self.ad(x)
-        out = Matrix.identity(self.dim)
-        term = Matrix.identity(self.dim)
-        for k in range(1, len(mp)):
+        out = term = Matrix.identity(self.dim)
+        # k runs to dim g + 1, so a 0-dimensional algebra still tests
+        # ad(x)^1 = 0
+        for k in range(1, self.dim + 2):
             term = term * m
+            if term.is_zero():
+                return out
             out = out + term.scale(Q(1, factorial(k)))
-        return out
+        raise DomainError("exp_ad requires an ad-nilpotent element")
 
     def check_automorphism(self, a: Matrix):
         """Raise unless a preserves the bracket and the form."""

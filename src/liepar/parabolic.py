@@ -14,7 +14,12 @@ from math import comb
 from typing import Optional
 
 from .errors import DomainError, InternalCheckError
-from .liealg import Filtration, LieAlgebra, minimal_polynomial
+from .liealg import (
+    Filtration,
+    LieAlgebra,
+    minimal_polynomial,
+    poly_rational_roots,
+)
 from .ratmat import (
     Matrix,
     Q,
@@ -192,15 +197,16 @@ def conjugate_parabolic(pd: ParabolicData, auto: Matrix) -> ParabolicData:
     return make_parabolic(g, g.apply_auto(auto, pd.space))
 
 
-def grading_lift(pd: ParabolicData, constraint: Optional[Subspace] = None,
-                 commute_with=None):
+def grading_lift(pd: ParabolicData, constraint: Optional[Subspace] = None):
     """Solve for a grading element lift of the filtration.
 
-    Finds ξ in ``constraint`` with [ξ, x] ≡ j·x mod f^(j-1) for every
-    basis vector x of every level f^(j).  Returns (ξ, torsor) where
-    the torsor is the solution space direction.  Without the extra
-    commutation constraint the torsor must equal nil(p) ∩ constraint,
-    and this is asserted.
+    Finds ξ in ``constraint`` (default p) with [ξ, x] ≡ j·x mod f^(j-1)
+    for every basis vector x of every level f^(j).  Returns (ξ, torsor)
+    where the torsor is the solution space direction, checked to be
+    (nil(p) + z(g)) ∩ constraint.  Proof, for any constraint C ⊆ p (as
+    every caller passes): the homogeneous solutions are the η ∈ C with
+    [η, f^j] ⊆ f^(j-1) for every j, that is gr(ad η) = 0, and the
+    elements of p acting as 0 on gr g are nil(p) + z(g).
     """
     g = pd.ambient
     if constraint is None:
@@ -223,9 +229,6 @@ def grading_lift(pd: ParabolicData, constraint: Optional[Subspace] = None,
     rhs = tuple(chain.from_iterable(
         below.reduce(vec_scale(j, x)) for below, j, x in blocks
     ))
-    if commute_with is not None:
-        cols = [col + g.bracket(c, commute_with) for col, c in zip(cols, cb)]
-        rhs += (Q(0),) * g.dim
     res = solve(Matrix(cols).transpose(), rhs)
     if res is None:
         raise DomainError("no grading lift in the constraint space")
@@ -234,21 +237,17 @@ def grading_lift(pd: ParabolicData, constraint: Optional[Subspace] = None,
     torsor = Subspace.from_vectors(
         g.dim, [lincomb(kv, cb, g.dim) for kv in ker.vectors()]
     )
-    if commute_with is None:
-        expected = pd.nilradical.sum(g.center()).intersect(constraint)
-        if torsor != expected:
-            raise InternalCheckError(
-                "grading-lift torsor is not (nil(p) + z(g)) ∩"
-                " constraint"
-            )
+    expected = pd.nilradical.sum(g.center()).intersect(constraint)
+    if torsor != expected:
+        raise InternalCheckError(
+            "grading-lift torsor is not (nil(p) + z(g)) ∩ constraint"
+        )
     return xi, torsor
 
 
 def ad_eigenspaces(g: LieAlgebra, xi):
     """Decompose g into rational ad(ξ)-eigenspaces; errors if ad(ξ) is
     not split semisimple."""
-    from .liealg import poly_rational_roots
-
     m = g.ad(xi)
     mp = minimal_polynomial(m)
     roots, rem = poly_rational_roots(mp)
@@ -347,7 +346,8 @@ def project(q: ParabolicData, p: ParabolicData):
 
 
 def compatible_lifts(p: ParabolicData, q: ParabolicData):
-    """Commuting grading lifts (ξ_p, ξ_q) inside p ∩ q."""
+    """Commuting grading lifts (ξ_p, ξ_q) inside p ∩ q: ξ_p is lifted
+    inside p ∩ q ∩ c_g(ξ_q)."""
     _same_ambient(p, q)
     inter = p.space.intersect(q.space)
     try:
@@ -356,8 +356,9 @@ def compatible_lifts(p: ParabolicData, q: ParabolicData):
         raise InternalCheckError(
             "no grading lift of q inside p ∩ q"
         )
+    commuting = inter.intersect(p.ambient.centralizer_element(xi_q))
     try:
-        xi_p, _ = grading_lift(p, inter, commute_with=xi_q)
+        xi_p, _ = grading_lift(p, commuting)
     except DomainError:
         raise InternalCheckError(
             "no commuting grading lift of p inside p ∩ q"

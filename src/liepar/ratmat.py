@@ -187,10 +187,9 @@ class Matrix:
         while k:
             if k & 1:
                 out = out * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __repr__(self):

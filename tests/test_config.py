@@ -20,7 +20,6 @@ from liepar.config import (
     report_dot,
     report_json,
     simplex_configuration,
-    tetrahedron_example,
 )
 from liepar.errors import DomainError
 
@@ -28,11 +27,6 @@ GOLDEN = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "src", "liepar", "golden",
 )
-
-
-@pytest.fixture(scope="module")
-def tetrahedron():
-    return tetrahedron_example()
 
 
 def golden(name):
@@ -112,14 +106,6 @@ def test_two_centers_over_one_base_compute_its_duality_once(monkeypatch):
     assert first.nu_image() | second.nu_image() <= set(ss.simples)
 
 
-def test_tetrahedron_report_matches_golden(tetrahedron):
-    cfg, q, proj = tetrahedron
-    got = report_json(incidence_report(proj))
-    with open(os.path.join(GOLDEN, "tetrahedron.json"), "rb") as fh:
-        want = fh.read().decode()
-    assert got == want
-
-
 def test_tetrahedron_counts():
     rep = golden("tetrahedron")
     mat = rep["incidence"]["1:2"]["matrix"]
@@ -151,16 +137,21 @@ def test_projection_rejects_non_weakly_opposite():
         project_configuration(q, cfg)
 
 
-def test_report_json_is_deterministic(tetrahedron):
-    cfg, q, proj = tetrahedron
-    a = report_json(incidence_report(proj))
-    b = report_json(incidence_report(proj))
+def triangle():
+    # the coordinate simplex of gl(3): three points, three lines
+    return simplex_configuration(gl(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def test_report_json_is_deterministic():
+    a = report_json(incidence_report(triangle()))
+    b = report_json(incidence_report(triangle()))
     assert a == b
     parsed = json.loads(a)
     assert parsed["types"] == ["1", "2"]
+    assert parsed["incidence"]["1:2"]["row_sums"] == [2, 2, 2]
 
 
-def test_report_dot_runs(tetrahedron):
-    cfg, q, proj = tetrahedron
-    out = report_dot(proj)
+def test_report_dot_runs():
+    out = report_dot(triangle())
     assert out.startswith("graph")
+    assert out.count(" -- ") == 6

@@ -113,6 +113,36 @@ def test_traced_names_resolve():
     assert missing == [], "traced names missing: %s" % missing
 
 
+def private_definitions(paths):
+    """(module, line, name) of every single-underscore function, method
+    or class defined in the given modules, and the set of names they
+    read: AST names, attributes and import aliases."""
+    defined, named = [], set()
+    for path in paths:
+        for n in ast.walk(tree(path)):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+                if n.name.startswith("_") and not n.name.startswith("__"):
+                    defined.append((path.name, n.lineno, n.name))
+            elif isinstance(n, ast.Name):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+            elif isinstance(n, ast.alias):
+                named.add(n.name)
+    return defined, named
+
+
+def test_no_unreferenced_private_helpers():
+    # a private helper is reachable only through the library itself, so
+    # one that no library code names is dead
+    defined, named = private_definitions(MODULES)
+    assert defined
+    unreferenced = [d for d in defined if d[2] not in named]
+    assert unreferenced == [], "unreferenced private helpers: %s" % (
+        unreferenced,)
+
+
 def imported_at_load(path):
     """Dotted names imported by the statements that run when the module
     is loaded: its body and class bodies, not function bodies."""

@@ -17,6 +17,7 @@ from liepar.liealg import (
     LieAlgebra,
     _check_compatibility,
     minimal_polynomial,
+    poly_rational_roots,
 )
 from liepar.parabolic import conjugate_parabolic, opposite
 from liepar.ratmat import Matrix, Subspace, lincomb
@@ -266,10 +267,49 @@ def test_nilpotent_cone():
     assert not g.in_nilpotent_cone(h)  # in [g,g] but semisimple
 
 
+def assert_minimal_polynomial(m, mp):
+    # the definition: monic, mp(m) = 0, and I, m, ..., m^(deg-1) are
+    # linearly independent
+    n = m.rows
+    powers = [Matrix.identity(n)]
+    for _ in range(len(mp) - 1):
+        powers.append(powers[-1] * m)
+    flat = [tuple(x for r in pw.data for x in r) for pw in powers]
+    assert mp[-1] == 1
+    assert not any(lincomb(mp, flat, n * n))
+    assert Matrix(flat[:-1]).rank() == len(mp) - 1
+
+
 def test_minimal_polynomial():
     g = gl(2)
     ad = g.ad(coords(g, E(2, 0, 1)))
     assert minimal_polynomial(ad) == [Q(0), Q(0), Q(0), Q(1)]  # t^3
+    g = gl(3)
+    # principal nilpotent: ad has nilpotency 2·3 - 1
+    principal = g.ad(coords(g, E(3, 0, 1) + E(3, 1, 2)))
+    assert minimal_polynomial(principal) == [Q(0)] * 5 + [Q(1)]
+    # E11 + E23 is not semisimple: t^3 (t^2 - 1)^2
+    mixed = g.ad(coords(g, E(3, 0, 0) + E(3, 1, 2)))
+    assert minimal_polynomial(mixed) == [0, 0, 0, 1, 0, -2, 0, 1]
+    # a rotation of so(3,1) has eigenvalues 0, ±i: t^3 + t
+    g31 = so(3, 1)
+    rotation = g31.ad(g31.basis_element(g31.labels.index("X[3,4]")))
+    assert minimal_polynomial(rotation) == [0, 1, 0, 1]
+    # a Cartan element of so(3,2) with root values 0, ±1, ..., ±4,
+    # conjugated by exp(ad x)
+    g32 = so(3, 2)
+    h1, h2 = E(5, 0, 0) - E(5, 1, 1), E(5, 2, 2) - E(5, 3, 3)
+    h = coords(g32, h1 + h2.scale(3))
+    nil = standard_borel(g32).nilradical
+    x = lincomb([Q(1)] * nil.dim, nil.vectors(), g32.dim)
+    conj = g32.ad(g32.exp_ad(x).mulvec(h))
+    mp = minimal_polynomial(conj)
+    roots, rem = poly_rational_roots(mp)
+    assert rem == 0 and sorted(roots) == list(range(-4, 5))
+    for m in (ad, principal, mixed, rotation, conj):
+        assert_minimal_polynomial(m, minimal_polynomial(m))
+    assert minimal_polynomial(Matrix.identity(0)) == [1]
+    assert minimal_polynomial(Matrix.zero(3, 3)) == [0, 1]
 
 
 def test_is_reductive():
@@ -300,6 +340,21 @@ def test_exp_ad():
         want = coords(g, u * m * uinv)
         got = a.mulvec(coords(g, m))
         assert tuple(want) == tuple(got)
+    # ad of the principal nilpotent X of gl(3) has nilpotency 5, so the
+    # series has four terms past I; exp(X) = I + X + X²/2
+    g = gl(3)
+    x = E(3, 0, 1) + E(3, 1, 2)
+    a = g.exp_ad(coords(g, x))
+    u = Matrix.identity(3) + x + (x * x).scale(Q(1, 2))
+    uinv = Matrix.identity(3) - x + (x * x).scale(Q(1, 2))
+    assert u * uinv == Matrix.identity(3)
+    for i in range(g.dim):
+        m = g.realization[i]
+        assert a.col(i) == coords(g, u * m * uinv)
+    # the 0-dimensional algebra gets the 0×0 identity
+    g0 = LieAlgebra([])
+    assert g0.exp_ad(()) == Matrix.identity(0)
+    assert g0.in_nilpotent_cone(())
 
 
 def test_exp_ad_rejects_non_nilpotent():

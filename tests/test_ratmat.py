@@ -153,14 +153,13 @@ def sparse_vectors(n):
 @st.composite
 def product_operands(draw):
     """a (r×k), b (k×c), a k-vector v, coefficients on a's rows, and a
-    symmetric k×k Gram matrix."""
+    k×k matrix."""
     r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
     a = draw(sparse_matrices(r, k))
     b = draw(sparse_matrices(k, c))
     v = draw(sparse_vectors(k))
     coeffs = draw(sparse_vectors(r))
-    s = draw(sparse_matrices(k, k))
-    return a, b, v, coeffs, s + s.transpose()
+    return a, b, v, coeffs, draw(sparse_matrices(k, k))
 
 
 def dense_lincomb(coeffs, vectors, n):
@@ -173,11 +172,16 @@ def dense_lincomb(coeffs, vectors, n):
 @given(product_operands())
 @settings(max_examples=150, deadline=None)
 def test_sparse_products_equal_dense_reference(ops):
-    a, b, v, coeffs, gram = ops
+    a, b, v, coeffs, sq = ops
     ab = a * b
     assert (ab.rows, ab.cols) == (a.rows, b.cols)
     assert ab.data == dense_product(a, b)
     assert all(type(x) is Q for r in ab.data for x in r)
+    # powers of sq equal the e-fold dense products
+    want = Matrix.identity(sq.rows)
+    for e in range(5):
+        assert (sq ** e).data == want.data
+        want = Matrix(dense_product(want, sq))
     av = a.mulvec(v)
     assert av == tuple(
         sum((a[i, t] * v[t] for t in range(a.cols)), Q(0))
@@ -206,7 +210,8 @@ def test_sparse_products_equal_dense_reference(ops):
         assert ker.dim == a.rows - span.dim
         for kv in ker.vectors():
             assert vec_is_zero(dense_lincomb(kv, a.data, k))
-    # the restricted Gram matrix ⟨a_i, a_j⟩
+    # the restricted Gram matrix ⟨a_i, a_j⟩ of a symmetric form
+    gram = sq + sq.transpose()
     restricted = BilinearForm(gram).restrict(a.data)
     assert restricted.gram.data == tuple(
         tuple(sum((x * gram[s, t] * y
@@ -258,6 +263,9 @@ def test_products_reject_shape_mismatch():
         a.mulvec([Q(1), Q(0)])
     with pytest.raises(ValueError):
         Matrix.zero(0, 2) * Matrix.zero(3, 1)
+    for base, k in ((a, 2), (a, 0), (Matrix.identity(2), -1)):
+        with pytest.raises(ValueError):
+            base ** k
     for wrong in (a.transpose(), Matrix.zero(2, 2), Matrix.zero(0, 3)):
         with pytest.raises(ValueError):
             a + wrong
