@@ -428,10 +428,16 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss):
     walks between the chambers, and returns the shortlex-canonical
     word.  Generators are indexed by their adjoint-orbit type relative
     to base_ss, which makes the word invariant under inner
-    automorphisms.
+    automorphisms.  Non-minimal input is a DomainError: p contains a
+    minimal p₀, conjugate to base_ss.chamber, and nil(p) ⊆ nil(p₀), so
+    equal nilradical dimensions give nil(p) = nil(p₀) and p = p₀ (each
+    is the perp of its nilradical).
     """
     from .rootdata import base_types, local_simple_system, weyl_word
 
+    nil_dim = base_ss.chamber.nilradical.dim
+    if pb.nilradical.dim != nil_dim or pc.nilradical.dim != nil_dim:
+        raise DomainError("not a minimal parabolic")
     if pb == base_ss.chamber:
         pb = base_ss.chamber  # carries its filtration already
     l = common_levi(pb, pc)

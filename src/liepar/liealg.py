@@ -1,7 +1,7 @@
 """Structure-constant Lie algebras over the rationals.
 
-Brackets, transporters, normalizers/centralizers, induced filtrations,
-nilpotency tests, trace forms, terminating exponentials, and quotient
+Brackets, transporters, normalizers/centralizers, lower central series,
+induced filtrations, trace forms, terminating exponentials, and quotient
 algebras.  An algebra may carry a faithful matrix realization; its
 trace form then serves as the invariant form used for perps.
 """
@@ -475,7 +475,7 @@ class LieAlgebra:
             self._center = self.centralizer(Subspace.full(self.dim))
         return self._center
 
-    # -- derived series / nilpotency ----------------------------------------
+    # -- derived and lower central series -----------------------------------
 
     def derived_algebra(self) -> Subspace:
         if self._derived is None:
@@ -490,49 +490,29 @@ class LieAlgebra:
         if not self.is_subalgebra(s):
             raise DomainError("not a subalgebra")
         series = [s]
-        while True:
+        while series[-1].dim:
             nxt = self.bracket_spaces(s, series[-1])
             if nxt == series[-1]:
                 break
             series.append(nxt)
-            if nxt.dim == 0:
-                break
         return series
-
-    def is_nilpotent_subalgebra(self, s: Subspace) -> bool:
-        return self.lower_central_series(s)[-1].dim == 0
 
     # -- filtrations ---------------------------------------------------------
 
-    def induced_filtration(self, n: Subspace, p: Subspace) -> Filtration:
-        """Filtration with f^(-1) = n, f^(0) = p, negative levels by
-        bracketing with n, positive levels by transporting into the
-        previous level."""
-        if not self.is_subalgebra(n):
-            raise DomainError("n not a subalgebra")
-        if not self.is_subalgebra(p):
-            raise DomainError("p not a subalgebra")
-        if not p.contains(n):
-            raise DomainError("n not contained in p")
-        if not self.normalizer(n).contains(p):
-            raise DomainError("p does not normalize n")
-        levels = {-1: n, 0: p}
+    def induced_filtration(self, series, p: Subspace) -> Filtration:
+        """Filtration of a parabolic p: f^0 = p, f^(k+1) = c_g(n, f^k)
+        above, and f^(-k) = series[k-1] below, the lower central series
+        of n = nil(p) from is_parabolic, so f^(-k-1) = [n, f^(-k)] down
+        to 0.  make_parabolic builds every ParabolicData, so is_parabolic
+        proved the premises: p is a subalgebra (its first line), n ⊆ p
+        and [p, n] ⊆ n (c6; c5: p normalizes n), so [n, n] ⊆ n, and n is
+        nilpotent (c6)."""
+        levels = {-1 - k: s for k, s in enumerate(series)}
+        levels[0] = p
         cap = 2 * self.dim + 1
-        k = -1
-        while True:
-            nxt = self.bracket_spaces(n, levels[k])
-            if nxt == levels[k]:
-                if nxt.dim != 0:
-                    raise DomainError("negative levels do not stabilize at 0"
-                                      " (n not nilpotent)")
-                break
-            levels[k - 1] = nxt
-            k -= 1
-            if len(levels) > cap:
-                raise InternalCheckError("filtration failed to stabilize")
         k = 0
         while True:
-            nxt = self.transporter(n, levels[k])
+            nxt = self.transporter(series[0], levels[k])
             if nxt == levels[k]:
                 break
             levels[k + 1] = nxt

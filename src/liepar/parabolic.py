@@ -68,6 +68,7 @@ def is_parabolic(g: LieAlgebra, p: Subspace):
     the nilpotency ideal p ∩ p^perp — and any disagreement among the
     four raises InternalCheckError, since they are provably equivalent
     for subalgebras of a reductive algebra with nondegenerate form.
+    The certificate keeps c6's lower central series of p^perp, or None.
     """
     _require_form(g)
     if not g.is_subalgebra(p):
@@ -77,18 +78,18 @@ def is_parabolic(g: LieAlgebra, p: Subspace):
     norm_p = g.normalizer(p)
     c4 = p.contains(pp) and norm_p == p
     c5 = g.normalizer(nil_ideal) == p
-    c6 = (
-        p.contains(pp)
-        and pp == nil_ideal
-        and g.is_subalgebra(pp)
-        and g.is_nilpotent_subalgebra(pp)
-        and pp.contains(g.bracket_spaces(p, pp))
-    )
+    series = None
+    if (p.contains(pp) and pp == nil_ideal
+            and pp.contains(g.bracket_spaces(p, pp))):
+        # [pp, pp] ⊆ [p, pp] ⊆ pp: pp is a subalgebra
+        series = g.lower_central_series(pp)
+    c6 = series is not None and series[-1].dim == 0
     c7 = g.dim - p.dim == nil_ideal.dim
     cert = {
         "perp": pp,
         "normalizer": norm_p,
         "nil_ideal": nil_ideal,
+        "lower_central_series": series,
         "conditions": (c4, c5, c6, c7),
     }
     if len({c4, c5, c6, c7}) != 1:
@@ -134,11 +135,11 @@ class LeviQuotient:
 class ParabolicData:
     """A recognized parabolic with its computed companions."""
 
-    def __init__(self, ambient: LieAlgebra, space: Subspace,
-                 nilradical: Subspace):
+    def __init__(self, ambient: LieAlgebra, space: Subspace, series):
         self.ambient = ambient
         self.space = space
-        self.nilradical = nilradical
+        self.series = series  # lower central series of nil(p)
+        self.nilradical = series[0]
         self._filtration: Optional[Filtration] = None
         self.grading_element: Optional[tuple] = None
         self._levi: Optional[LeviQuotient] = None
@@ -168,8 +169,7 @@ class ParabolicData:
         # nilradical (e.g. projection sampling) skip the level checks
         if self._filtration is None:
             self._filtration = self.ambient.induced_filtration(
-                self.nilradical, self.space
-            )
+                self.series, self.space)
         return self._filtration
 
     def levi_quotient(self) -> LeviQuotient:
@@ -188,7 +188,7 @@ def make_parabolic(g: LieAlgebra, space: Subspace) -> ParabolicData:
     ok, cert = is_parabolic(g, space)
     if not ok:
         raise DomainError("subspace is not parabolic")
-    return ParabolicData(g, space, cert["perp"])
+    return ParabolicData(g, space, cert["lower_central_series"])
 
 
 def conjugate_parabolic(pd: ParabolicData, auto: Matrix) -> ParabolicData:

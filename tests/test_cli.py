@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,16 @@ LOWER2 = json.dumps([
     [0, 0, 0, 1],
 ])
 CARTAN2 = json.dumps([[1, 0, 0, 0], [0, 0, 0, 1]])
+
+
+def units(n, ks):
+    return json.dumps([[int(k == i) for i in range(n)] for k in ks])
+
+
+# gl(3) in the basis E11, E12, E13, E21, ..., E33
+FULL3 = units(9, range(9))
+BOREL3 = units(9, [0, 1, 2, 4, 5, 8])
+MAXIMAL3 = units(9, [0, 1, 2, 4, 5, 7, 8])  # the Borel and E32
 
 
 def run(capsys, argv):
@@ -215,12 +226,20 @@ def test_space_from_file(tmp_path, capsys):
     # usage errors: argparse would print to stderr and exit 2
     (["make"], None, "required: algebra"),
     (["bogus"], None, "invalid choice: 'bogus'"),
+    # delta takes minimal parabolics only
+    (["delta", "gl:3", "--p", FULL3, "--q", BOREL3], None,
+     "not a minimal parabolic"),
+    (["delta", "gl:3", "--p", MAXIMAL3, "--q", BOREL3], None,
+     "not a minimal parabolic"),
+    (["delta", "gl:3", "--p", BOREL3, "--q", MAXIMAL3], None,
+     "not a minimal parabolic"),
 ], ids=["catalog-rejects", "malformed-json", "missing-file",
         "wrong-length", "bad-model", "witness-algebra",
         "witness-empty-algebra", "stdin-empty-algebra", "stdin-algebra-int",
         "float-entry", "witness-float", "string-vector",
         "non-isotropic-center", "not-utf8-file",
-        "closed-stdin", "missing-algebra", "unknown-verb"])
+        "closed-stdin", "missing-algebra", "unknown-verb",
+        "delta-p-full", "delta-p-maximal", "delta-q-maximal"])
 def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
                                        argv, stdin, named):
     if stdin is not None:
@@ -317,6 +336,21 @@ FUZZ_MALFORMED = ["[[1,2", "{", "", "null", "5", '"x"', "[1, 2]",
                   '[["1/0"]]', "@/nonexistent/space.json"]
 
 
+def stdin_object(spec):
+    """'so:3,2' as the stdin object {"algebra": ["so", 3, 2]}."""
+    name, _, args = spec.partition(":")
+    return json.dumps({"algebra": [name] + [int(a) if a.isdigit() else a
+                                            for a in args.split(",") if a]})
+
+
+# stdin for the algebra "-": each catalog spec above as a JSON object,
+# with its dimension if valid, and a few malformed inputs
+FUZZ_STDIN = [(stdin_object(spec), FUZZ_VALID.get(spec))
+              for spec in sorted(FUZZ_VALID) + FUZZ_INVALID] + [
+    (text, None) for text in ['{"algebra": []}', '{"algebra": 5}',
+                              '["gl", 2]', "{", ""]]
+
+
 @st.composite
 def fuzz_space(draw, dim):
     """Malformed JSON, or vectors of the algebra's dimension (of another
@@ -338,26 +372,37 @@ def fuzz_space(draw, dim):
 
 @st.composite
 def fuzz_argv(draw):
+    """(argv, stdin): stdin is read only for the algebra "-"."""
     verb = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
-    argv = [verb]
+    argv, stdin, dim = [verb], "", None
     if draw(st.integers(0, 7)):
         argv.append(draw(st.one_of(st.sampled_from(sorted(FUZZ_VALID)),
-                                   st.sampled_from(FUZZ_INVALID))))
-    dim = FUZZ_VALID.get(argv[-1])
+                                   st.sampled_from(FUZZ_INVALID),
+                                   st.just("-"))))
+        dim = FUZZ_VALID.get(argv[-1])
+        if argv[-1] == "-":
+            stdin, dim = draw(st.sampled_from(FUZZ_STDIN))
     for opt in FUZZ_OPTIONS[verb]:
         if draw(st.integers(0, 7)):
             argv += [opt, draw(fuzz_space(dim))]
+    if verb == "building":
+        argv += [flag for flag in ["--dot", "--table"] if draw(st.booleans())]
     if not draw(st.integers(0, 7)):
         argv.append(draw(st.sampled_from(["--bogus", "extra"])))
-    return argv
+    return argv, stdin
 
 
 @given(fuzz_argv())
 @settings(max_examples=60, deadline=None)
-def test_fuzzed_argv_exits_0_1_or_2_with_one_json_object(argv):
+def test_fuzzed_argv_exits_0_1_or_2_with_one_json_object(case):
+    argv, stdin = case
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
         code = main(argv)
     assert code in (0, 1, 2)
-    # json.loads rejects anything after the first object
-    assert isinstance(json.loads(out.getvalue()), dict)
+    if code == 0 and "--dot" in argv:
+        assert out.getvalue().startswith("graph")
+    else:
+        # json.loads rejects anything after the first object
+        assert isinstance(json.loads(out.getvalue()), dict)

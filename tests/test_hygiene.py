@@ -94,6 +94,27 @@ def test_weyl_descent_only_through_rootdata_calls(path):
     assert lines == [], "%s: _descend at lines %s" % (path.name, lines)
 
 
+def calls_of(node, name):
+    """Lines of the calls of ``name`` (bare or as an attribute) under
+    node."""
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+            and (isinstance(n.func, ast.Name) and n.func.id == name
+                 or isinstance(n.func, ast.Attribute)
+                 and n.func.attr == name)]
+
+
+def test_parabolic_data_is_built_only_by_make_parabolic():
+    # a ParabolicData's filtration trusts what is_parabolic proved, so
+    # every one must come from make_parabolic
+    (make,) = [n for path in MODULES if path.name == "parabolic.py"
+               for n in tree(path).body if isinstance(n, ast.FunctionDef)
+               and n.name == "make_parabolic"]
+    built = [(path.name, line) for path in MODULES
+             for line in calls_of(tree(path), "ParabolicData")]
+    assert built == [("parabolic.py", line)
+                     for line in calls_of(make, "ParabolicData")] != []
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these names after importing the three
     # modules below; a deleted one would break only a traced run

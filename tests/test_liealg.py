@@ -19,7 +19,7 @@ from liepar.liealg import (
     minimal_polynomial,
     poly_rational_roots,
 )
-from liepar.parabolic import conjugate_parabolic, opposite
+from liepar.parabolic import conjugate_parabolic, make_parabolic, opposite
 from liepar.ratmat import Matrix, Subspace, lincomb
 
 
@@ -66,19 +66,19 @@ def test_lower_central_series():
     strict = span(g3, [E(3, 0, 1), E(3, 0, 2), E(3, 1, 2)])
     series = g3.lower_central_series(strict)
     assert [s.dim for s in series] == [3, 1, 0]
-    assert g3.is_nilpotent_subalgebra(strict)
     g = gl(2)
     cartan = span(g, [E(2, 0, 0), E(2, 1, 1)])
-    assert g.is_nilpotent_subalgebra(cartan)  # abelian
+    assert g.lower_central_series(cartan)[-1].dim == 0  # abelian
+    assert g.lower_central_series(g.zero_space()) == [g.zero_space()]
     sl2 = span(g, [E(2, 0, 1), E(2, 1, 0), E(2, 0, 0) - E(2, 1, 1)])
-    assert not g.is_nilpotent_subalgebra(sl2)
+    assert g.lower_central_series(sl2) == [sl2]  # perfect
 
 
 def test_induced_filtration_gl2():
     g = gl(2)
     n = span(g, [E(2, 0, 1)])
     borel = span(g, [E(2, 0, 0), E(2, 0, 1), E(2, 1, 1)])
-    f = g.induced_filtration(n, borel)
+    f = make_parabolic(g, borel).filtration
     assert f.level(-2).dim == 0
     assert f.level(-1) == n
     assert f.level(0) == borel
@@ -87,8 +87,7 @@ def test_induced_filtration_gl2():
 
 def test_induced_filtration_gl3_borel():
     g = gl(3)
-    pb = standard_borel(g)
-    f = g.induced_filtration(pb.nilradical, pb.space)
+    f = standard_borel(g).filtration
     idx = f.indices()
     assert min(idx) == -3 and max(idx) == 2
     dims = [f.level(k).dim for k in range(-3, 3)]
@@ -99,8 +98,9 @@ def test_induced_filtration_gl3_borel():
 def test_filtration_rejects_bad_input():
     g = gl(2)
     sl2 = span(g, [E(2, 0, 1), E(2, 1, 0), E(2, 0, 0) - E(2, 1, 1)])
+    # only a recognized parabolic has a filtration, and sl(2) is none
     with pytest.raises(DomainError):
-        g.induced_filtration(sl2, g.full_space())
+        make_parabolic(g, sl2)
     n = span(g, [E(2, 0, 1)])
     with pytest.raises(DomainError, match="not contiguous"):
         Filtration({-1: n, 1: g.full_space()})
@@ -189,8 +189,7 @@ def test_compatibility_check_names_the_failing_pair(m, extra, pair, dims):
     # replaced by f^(m-1) + <extra>; the one failing unordered pair has
     # i ≠ j
     g = gl(3)
-    pb = standard_borel(g)
-    f = g.induced_filtration(pb.nilradical, pb.space)
+    f = standard_borel(g).filtration
     levels = {i: f.level(i) for i in f.indices()}
     levels[m] = f.level(m - 1).sum(span(g, [E(3, a, b) for a, b in extra]))
     mutant = Filtration(levels)
@@ -217,12 +216,40 @@ def check_adapted(f):
     assert f.adapted_basis() is w
 
 
+def reference_levels(g, n, p):
+    """Levels built from n and p alone, as the filtration once was: f^-1
+    = n, f^0 = p, then [n, f^k] below and c_g(n, f^k) above, each until
+    a level repeats."""
+    levels = {-1: n, 0: p}
+    for k, step in ((-1, -1), (0, 1)):
+        while True:
+            nxt = (g.bracket_spaces(n, levels[k]) if step < 0
+                   else g.transporter(n, levels[k]))
+            if nxt == levels[k]:
+                break
+            levels[k + step] = nxt
+            k += step
+    return levels
+
+
 @pytest.mark.parametrize("build, args", [(gl, (3,)), (so, (3, 2)),
                                          (gl, (4,))],
                          ids=["gl3", "so32", "gl4"])
 def test_adapted_basis_of_standard_parabolics(build, args):
-    for p in all_standard_parabolics(build(*args)).values():
-        check_adapted(p.filtration)
+    # every standard parabolic and one exp(ad x) conjugate of each, x
+    # spanning the last nonzero term of the opposite Borel's nilradical
+    # series: a lowest root space, in no proper standard parabolic, so
+    # every proper one moves; the levels from the recognizer's series
+    # are the reference's
+    g = build(*args)
+    (x,) = opposite(standard_borel(g)).series[-2].vectors()
+    a = g.exp_ad(x)
+    for p in all_standard_parabolics(g).values():
+        for pd in (p, conjugate_parabolic(p, a)):
+            check_adapted(pd.filtration)
+            assert pd.filtration.levels == reference_levels(
+                g, pd.nilradical, pd.space)
+            assert pd.filtration.level(pd.filtration.min_index).dim == 0
 
 
 def test_adapted_basis_with_nonzero_bottom_level():
