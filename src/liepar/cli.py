@@ -428,9 +428,10 @@ def build_parser():
                                         " apartments")
     p.add_argument("algebra", nargs="?", default=None)
     p.add_argument("--model", help="A:n or B:n")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--table", action="store_true",
-                   help="include the full delta table")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--dot", action="store_true")
+    out.add_argument("--table", action="store_true",
+                     help="include the full delta table")
     p.set_defaults(fn=cmd_building)
 
     p = sub.add_parser("config", help="project a configuration")

@@ -487,11 +487,12 @@ class LieAlgebra:
         return self._derived
 
     def lower_central_series(self, s: Subspace):
-        if not self.is_subalgebra(s):
-            raise DomainError("not a subalgebra")
         series = [s]
         while series[-1].dim:
             nxt = self.bracket_spaces(s, series[-1])
+            # the first step's span is [s, s]: the subalgebra premise
+            if len(series) == 1 and not s.contains(nxt):
+                raise DomainError("not a subalgebra")
             if nxt == series[-1]:
                 break
             series.append(nxt)

@@ -268,25 +268,24 @@ def ad_eigenspaces(g: LieAlgebra, xi):
 
 
 def opposite(pd: ParabolicData, xi=None) -> ParabolicData:
-    """Opposite parabolic through a grading lift: the span of the
-    nonnegative ad(ξ)-eigenspaces (parabolics being nonpositive
-    parts)."""
+    """Opposite parabolic through a grading lift ξ: the span of the
+    nonnegative ad(ξ)-eigenspaces (parabolics being nonpositive parts),
+    the kernels of ad ξ − j at the filtration indices j."""
     g = pd.ambient
     if xi is None:
         xi, _ = grading_lift(pd)
-    spaces = ad_eigenspaces(g, xi)
-    for lam in spaces:
-        if lam.denominator != 1:
-            raise DomainError("non-integer grading eigenvalue")
-    vecs = []
-    for lam, es in spaces.items():
-        if lam >= 0:
-            vecs.extend(es.vectors())
-    op_space = Subspace.from_vectors(g.dim, vecs)
+    m = g.ad(xi)
+    ident = Matrix.identity(g.dim)
+    spaces = {j: kernel(m - ident.scale(j))
+              for j in pd.filtration.indices()}
+    if sum(es.dim for es in spaces.values()) != g.dim:
+        raise DomainError("ξ is not a grading lift of this parabolic")
+    op_space = Subspace.from_vectors(
+        g.dim, [v for j, es in spaces.items() if j >= 0
+                for v in es.vectors()])
     neg = Subspace.from_vectors(
-        g.dim,
-        [v for lam, es in spaces.items() if lam <= 0 for v in es.vectors()],
-    )
+        g.dim, [v for j, es in spaces.items() if j <= 0
+                for v in es.vectors()])
     if neg != pd.space:
         raise DomainError("ξ is not a grading lift of this parabolic")
     op = make_parabolic(g, op_space)

@@ -4,11 +4,12 @@ Root space decompositions, coroots, simple systems with fundamental
 coweights/weights, the subset ↔ parabolic bijection, root reflections
 as exact inner automorphisms, Weyl words between chambers of one
 apartment, the duality involution, and normalization of an arbitrary
-parabolic into standard position (which makes types canonical).  Weyl
-words and standard positions both come from one descent by simple
-reflections (_descend).  Every simple system of a chamber over a
-common Levi comes from one helper (local_simple_system), which falls
-back on the base simple system when it would rebuild it.
+parabolic into standard position (which makes types canonical).  Types
+are read off grading elements in ml (levi_transport).  Weyl words and
+standard positions both come from one descent by simple reflections
+(_descend).  Every simple system of a chamber over a common Levi comes
+from one helper (local_simple_system), which falls back on the base
+simple system when it would rebuild it.
 
 Roots are represented by their value tuples on the canonical basis of
 the Cartan subspace.
@@ -26,7 +27,6 @@ from .parabolic import (
     common_levi,
     grading_lift,
     make_parabolic,
-    opposite,
 )
 from .ratmat import (
     Matrix,
@@ -437,75 +437,52 @@ def weyl_word(ss: SimpleSystem, pc: ParabolicData):
     return word
 
 
-def standardize_type(ss: SimpleSystem, space: Subspace):
-    """Type of an arbitrary parabolic containing ml: descend its root
-    set into standard position and read off the simples it misses."""
-    _, S = _descend(ss, ss.rd.root_set_of(space))
+def standardize_type(ss: SimpleSystem, eta, dim):
+    """Type of the parabolic ml ⊕ ⊕_{α(η) ≤ 0} g_α of dimension dim,
+    for η ∈ ml: descend its root set into standard position and read
+    off the simples it misses."""
+    rd = ss.rd
+    S = frozenset(a for a in rd.roots if rd.eval_root(a, eta) <= 0)
+    if rd.levi.dim + sum(rd.root_spaces[a].dim for a in S) != dim:
+        raise InternalCheckError("nonpositive part of wrong dimension")
+    _, S = _descend(ss, S)
     if not ss.negative_roots() <= S:
         raise InternalCheckError("standardized root set not standard")
     return frozenset(a for a in ss.simples if a not in S)
 
 
-def levi_transport(pb: ParabolicData, xi_from, xi_to) -> Matrix:
-    """The unique element of exp(nil(pb)) carrying one grading lift of
-    pb to another, as an automorphism matrix."""
-    g = pb.ambient
-    nil = pb.nilradical
-    u = Matrix.identity(g.dim)
-    cur = tuple(xi_from)
-    depth = pb.filtration.max_index - pb.filtration.min_index + 2
-    for _ in range(depth):
-        r = vec_sub(xi_to, cur)
-        if vec_is_zero(r):
-            return u
-        if not nil.contains_vector(r):
-            raise InternalCheckError("lift difference not in nil(pb)")
-        nb = nil.vectors()
-        res = solve(Matrix([g.bracket(b, cur) for b in nb]).transpose(), r)
-        if res is None:
-            raise InternalCheckError("transport equation unsolvable")
-        u = g.exp_ad(lincomb(res[0], nb, g.dim)) * u
-        cur = u.mulvec(xi_from)
-    raise InternalCheckError("Levi transport did not converge")
+def levi_transport(ss: SimpleSystem, l: Subspace, xi):
+    """u·ξ, for l a Levi complement of nil(pb) in the base chamber pb,
+    ξ ∈ l, and u the element of exp(ad nil(pb)) with u·l = ml: the
+    ml-component of ξ in pb = ml ⊕ nil(pb).
 
-
-def _transport_to_ml(ss: SimpleSystem, l: Subspace):
-    """Subspace ↦ its image under the u ∈ exp(nil(pb)) carrying l, a
-    common Levi of some parabolic and the base chamber pb, onto ml;
-    the identity when l is already ml."""
-    g = ss.rd.ambient
+    Proof: ξ ∈ pb and nil(pb) is an ideal of pb, so u·ξ − ξ ∈ nil(pb);
+    u·ξ ∈ u·l = ml; and ml ∩ nil(pb) = 0.  When ξ is a grading lift of
+    a parabolic p ⊇ l, p is the nonpositive part of ad ξ (as in
+    opposite), so u·p = ml ⊕ ⊕_{α(η) ≤ 0} g_α with η = u·ξ.  ξ is
+    unique up to z(g) ∩ l, and roots vanish on z(g)."""
+    rd = ss.rd
     pb = ss.chamber
-    if l.dim != ss.rd.levi.dim:
+    if l.dim != rd.levi.dim:
         raise InternalCheckError("common Levi has wrong dimension")
     if not pb.has_levi(l):
         raise InternalCheckError("common Levi not a complement in the"
                                  " base chamber")
-    if l == ss.rd.levi:
-        return lambda space: space
-    xi_from, _ = grading_lift(pb, l)
-    xi_to, _ = grading_lift(pb, ss.rd.levi)
-    # the two lifts may differ by a central element (z(g) sits in both
-    # Levis); only the nil(pb)-direction needs transporting
-    zb = g.center().vectors()
-    if zb:
-        nb = pb.nilradical.vectors()
-        d = vec_sub(xi_to, xi_from)
-        res = solve(Matrix(nb + zb).transpose(), d)
-        if res is None:
-            raise InternalCheckError("lift difference outside"
-                                     " nil(pb) + z(g)")
-        xi_to = vec_sub(xi_to, lincomb(res[0][len(nb):], zb, g.dim))
-    u = levi_transport(pb, xi_from, xi_to)
-    return lambda space: g.apply_auto(u, space)
+    if not l.contains_vector(xi):
+        raise InternalCheckError("grading element not in the common Levi")
+    mb = rd.levi.vectors()
+    t, _ = solve(Matrix(mb + pb.nilradical.vectors()).transpose(), xi)
+    return lincomb(t[:len(mb)], mb, rd.ambient.dim)
 
 
 def type_of_any(ss: SimpleSystem, p: ParabolicData):
     """Type of an arbitrary parabolic relative to the base simple
-    system: transport a common Levi with the base chamber onto ml by
-    a unipotent automorphism, then standardize combinatorially.  The
-    transport is inner, so the result is the adjoint-orbit type."""
-    move = _transport_to_ml(ss, common_levi(p, ss.chamber))
-    return standardize_type(ss, move(p.space))
+    system: its grading lift in a common Levi l with the base chamber,
+    moved into ml by an inner automorphism (levi_transport), then
+    standardized: the adjoint-orbit type."""
+    l = common_levi(p, ss.chamber)
+    xi, _ = grading_lift(p, l)
+    return standardize_type(ss, levi_transport(ss, l, xi), p.dim)
 
 
 def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
@@ -513,25 +490,22 @@ def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
     adjoint-orbit type, relative to base_ss, of the maximal parabolic
     that α alone crosses.
 
-    One transport serves every α.  Let l be the common Levi of
-    ss.chamber and the base chamber, and u the inner automorphism with
-    u·l = ml.  Each q^α contains ss.chamber, which contains l, so
-    u·q^α ⊇ u·l = ml; and u is inner, so u·q^α has the adjoint-orbit
-    type of q^α, which standardize_type reads off its root set.  So
-    the answer is type_of_any(base_ss, q^α), without the common Levi of
-    q^α, its two grading lifts and the filtration of q^α per α.
+    One common Levi l of ss.chamber and the base chamber serves every
+    α as in type_of_any(base_ss, q^α): q^α ⊇ ss.chamber ⊇ l, so q^α
+    has a grading lift in l.
 
     When ss is base_ss, each q^α contains base_ss.chamber ⊇ ml, so it
     is in standard position already, and its type is {α}.
     """
     if ss is base_ss:
         return {a: a for a in ss.simples}
-    move = _transport_to_ml(base_ss,
-                            common_levi(ss.chamber, base_ss.chamber))
+    l = common_levi(ss.chamber, base_ss.chamber)
     out = {}
     for alpha in ss.simples:
         q = parabolic_from_subset(ss, {alpha})
-        t = standardize_type(base_ss, move(q.space))
+        xi, _ = grading_lift(q, l)
+        t = standardize_type(base_ss, levi_transport(base_ss, l, xi),
+                             q.dim)
         if len(t) != 1:
             raise InternalCheckError("maximal parabolic with non-"
                                      "singleton type")
@@ -541,16 +515,16 @@ def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
 
 def duality_involution(ss: SimpleSystem) -> dict:
     """op: for each simple α, the type of the opposite of the maximal
-    parabolic q^α, normalized back into the standard chamber.
-    Computed once per simple system.  op∘op = id is checked, which
-    also makes op a bijection of the simples."""
+    parabolic q^α: the nonpositive part of −ξ^α, for ξ^α the grading
+    element of q^α in the Cartan ⊆ ml; it has q^α's dimension, since
+    g_α and g_−α do.  Computed once per simple system.  op∘op = id is
+    checked, which also makes op a bijection of the simples."""
     if ss._duality is not None:
         return ss._duality
     op = {}
     for alpha in ss.simples:
         q = parabolic_from_subset(ss, {alpha})
-        hat = opposite(q, q.grading_element)
-        t = standardize_type(ss, hat.space)
+        t = standardize_type(ss, vec_scale(-1, q.grading_element), q.dim)
         if len(t) != 1:
             raise InternalCheckError("opposite of a maximal parabolic"
                                      " not maximal")

@@ -228,7 +228,7 @@ def test_delta_parabolic_from_the_base_chamber_transports_nothing(
     def transported(*args):
         raise AssertionError("base chamber transported onto itself")
 
-    monkeypatch.setattr(rootdata, "_transport_to_ml", transported)
+    monkeypatch.setattr(rootdata, "levi_transport", transported)
     monkeypatch.setattr(rootdata, "common_levi", transported)
     assert delta_parabolic(pb, opposite(pb), ss) == word
     assert delta_parabolic(pb, pb, ss) == ()

@@ -233,13 +233,17 @@ def test_space_from_file(tmp_path, capsys):
      "not a minimal parabolic"),
     (["delta", "gl:3", "--p", BOREL3, "--q", MAXIMAL3], None,
      "not a minimal parabolic"),
+    # --dot prints the graph alone, so --table would be dropped
+    (["building", "gl:2", "--dot", "--table"], None,
+     "--table: not allowed with argument --dot"),
 ], ids=["catalog-rejects", "malformed-json", "missing-file",
         "wrong-length", "bad-model", "witness-algebra",
         "witness-empty-algebra", "stdin-empty-algebra", "stdin-algebra-int",
         "float-entry", "witness-float", "string-vector",
         "non-isotropic-center", "not-utf8-file",
         "closed-stdin", "missing-algebra", "unknown-verb",
-        "delta-p-full", "delta-p-maximal", "delta-q-maximal"])
+        "delta-p-full", "delta-p-maximal", "delta-q-maximal",
+        "building-dot-table"])
 def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
                                        argv, stdin, named):
     if stdin is not None:
@@ -320,11 +324,13 @@ def test_cold_make_and_check_load_neither_building_nor_rootdata(argv):
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
-# the JSON options of each verb; selftest and config are too slow to fuzz
-FUZZ_OPTIONS = {"make": [], "rootdata": [], "building": [],
+# the JSON options of each verb; selftest is too slow to fuzz, and
+# config takes only malformed witnesses (fuzz_witness)
+FUZZ_OPTIONS = {"make": [], "rootdata": [], "building": [], "config": [],
                 "check": ["--space"], "opposite": ["--space"],
                 "levi": ["--space"], "weyl": ["--space"],
                 "project": ["--p", "--q"], "delta": ["--p", "--q"]}
+FUZZ_FLAGS = {"building": ["--dot", "--table"], "config": ["--dot"]}
 # valid algebras of dimension at most 10, with their dimensions
 FUZZ_VALID = {"gl:1": 1, "gl:2": 4, "gl:3": 9, "sl:2": 3, "sl:3": 8,
               "so:1,1": 1, "so:2,1": 3, "so:2,2": 6, "so:3,1": 6,
@@ -371,11 +377,31 @@ def fuzz_space(draw, dim):
 
 
 @st.composite
+def fuzz_witness(draw):
+    """A config witness that is never valid, so none is projected:
+    malformed JSON, a catalog algebra's points without a 'center', or
+    points one entry longer than its realization (gl:n and sl:n act on
+    n-space, so:p,q on (p+q)-space)."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.sampled_from(FUZZ_MALFORMED))
+    spec = draw(st.sampled_from(sorted(FUZZ_VALID)))
+    data = json.loads(stdin_object(spec))
+    n = sum(data["algebra"][1:]) + (kind == 2)
+    data["points"] = [[int(i == j) for j in range(n)] for i in range(n)]
+    if kind == 2:
+        data["center"] = data["points"][:1]
+    return json.dumps(data)
+
+
+@st.composite
 def fuzz_argv(draw):
     """(argv, stdin): stdin is read only for the algebra "-"."""
     verb = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
     argv, stdin, dim = [verb], "", None
-    if draw(st.integers(0, 7)):
+    if verb == "config":
+        argv.append(draw(fuzz_witness()))
+    elif draw(st.integers(0, 7)):
         argv.append(draw(st.one_of(st.sampled_from(sorted(FUZZ_VALID)),
                                    st.sampled_from(FUZZ_INVALID),
                                    st.just("-"))))
@@ -385,8 +411,7 @@ def fuzz_argv(draw):
     for opt in FUZZ_OPTIONS[verb]:
         if draw(st.integers(0, 7)):
             argv += [opt, draw(fuzz_space(dim))]
-    if verb == "building":
-        argv += [flag for flag in ["--dot", "--table"] if draw(st.booleans())]
+    argv += [flag for flag in FUZZ_FLAGS.get(verb, []) if draw(st.booleans())]
     if not draw(st.integers(0, 7)):
         argv.append(draw(st.sampled_from(["--bogus", "extra"])))
     return argv, stdin

@@ -90,18 +90,18 @@ def test_two_centers_over_one_base_compute_its_duality_once(monkeypatch):
     # a fresh base system, so no earlier test has filled its duality
     ss = rootdata.simple_system(standard_minimal_levi(g)[1],
                                 standard_borel(g))
-    ambients = []
-    real_opposite = rootdata.opposite
+    systems = []
+    real = rootdata.parabolic_from_subset
 
-    def counting_opposite(q, xi=None):
-        ambients.append(q.ambient)
-        return real_opposite(q, xi)
+    def counting(system, J):
+        systems.append(system)
+        return real(system, J)
 
-    # duality_involution makes one opposite per simple root
-    monkeypatch.setattr(rootdata, "opposite", counting_opposite)
+    # duality_involution builds one maximal parabolic per simple root
+    monkeypatch.setattr(rootdata, "parabolic_from_subset", counting)
     first = center_structures(standard_parabolic(g, [ss.simples[0]]), ss)
     second = center_structures(standard_parabolic(g, [ss.simples[1]]), ss)
-    assert sum(a is g for a in ambients) == len(ss.simples)
+    assert sum(s is ss for s in systems) == len(ss.simples)
     assert rootdata.duality_involution(ss) is rootdata.duality_involution(ss)
     assert first.nu_image() | second.nu_image() <= set(ss.simples)
 

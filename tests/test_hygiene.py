@@ -12,13 +12,13 @@ MODULES = sorted(Path(liepar.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 TRACING = Path(liepar.__file__).parents[2] / "perfbench" / "tracing.py"
 
-# private name -> the one module that may use it; the others go through
-# its public callers (rref / kernel / solve / Subspace for _rref_rows,
+# name -> the one module that may use it; the others go through its
+# public callers (rref / kernel / solve / Subspace for _rref_rows,
 # flag_stabilizer / frame_levi for _action_stabilizer, type_of_any /
-# base_types for _transport_to_ml, induced_filtration for
+# base_types for levi_transport, induced_filtration for
 # _check_compatibility, weyl_word / standardize_type for _descend)
 OWNER = {"_rref_rows": "ratmat.py", "_action_stabilizer": "catalog.py",
-         "_transport_to_ml": "rootdata.py",
+         "levi_transport": "rootdata.py",
          "_check_compatibility": "liealg.py", "_descend": "rootdata.py"}
 
 
@@ -72,12 +72,12 @@ def test_stabilizers_only_through_catalog_calls(path):
                                                                  lines)
 
 
-@pytest.mark.parametrize("path", outside("_transport_to_ml"),
+@pytest.mark.parametrize("path", outside("levi_transport"),
                          ids=lambda p: p.name)
 def test_base_transport_only_through_rootdata_calls(path):
-    lines = uses(path, "_transport_to_ml")
-    assert lines == [], "%s: _transport_to_ml at lines %s" % (path.name,
-                                                               lines)
+    lines = uses(path, "levi_transport")
+    assert lines == [], "%s: levi_transport at lines %s" % (path.name,
+                                                             lines)
 
 
 @pytest.mark.parametrize("path", outside("_check_compatibility"),

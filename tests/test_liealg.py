@@ -72,6 +72,9 @@ def test_lower_central_series():
     assert g.lower_central_series(g.zero_space()) == [g.zero_space()]
     sl2 = span(g, [E(2, 0, 1), E(2, 1, 0), E(2, 0, 0) - E(2, 1, 1)])
     assert g.lower_central_series(sl2) == [sl2]  # perfect
+    # [e, f] = h leaves the span of e and f
+    with pytest.raises(DomainError, match="not a subalgebra"):
+        g.lower_central_series(span(g, [E(2, 0, 1), E(2, 1, 0)]))
 
 
 def test_induced_filtration_gl2():

@@ -28,7 +28,7 @@ from liepar.parabolic import (
     opposite,
     project,
 )
-from liepar.ratmat import Matrix, Subspace, vec_is_zero
+from liepar.ratmat import Matrix, Subspace, vec_is_zero, vec_scale
 
 
 def E(n, i, j):
@@ -116,6 +116,19 @@ def test_opposite():
     assert opposite(op).space == pd.space
     full = make_parabolic(g, g.full_space())
     assert opposite(full).space == g.full_space()
+
+
+def test_opposite_refuses_a_non_lift():
+    g = gl(3)
+    pd = standard_borel(g)
+    xi, _ = grading_lift(pd)
+    e = pd.nilradical.vectors()[0]
+    # half-integer and nilpotent ad ξ leave the integer kernels short of
+    # g; 0 and -ξ grade g, but their nonpositive parts are not pd
+    for bad in (vec_scale(Q(1, 2), xi), e, vec_scale(0, xi),
+                vec_scale(-1, xi)):
+        with pytest.raises(DomainError, match="not a grading lift"):
+            opposite(pd, bad)
 
 
 def first_maximal(g):

@@ -2,7 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from liepar import rootdata
 from liepar.catalog import (
+    all_standard_parabolics,
     gl,
     so,
     standard_borel,
@@ -10,9 +12,22 @@ from liepar.catalog import (
     standard_simple_system,
 )
 from liepar.errors import DomainError, InternalCheckError
-from liepar.parabolic import common_levi, conjugate_parabolic, opposite
-from liepar.ratmat import lincomb
+from liepar.parabolic import (
+    common_levi,
+    conjugate_parabolic,
+    grading_lift,
+    opposite,
+)
+from liepar.ratmat import (
+    Matrix,
+    lincomb,
+    solve,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 from liepar.rootdata import (
+    _descend,
     base_types,
     duality_involution,
     local_simple_system,
@@ -127,8 +142,14 @@ def test_standardize_type_on_conjugate():
     ss = standard_simple_system(g)
     q = parabolic_from_subset(ss, {ss.simples[0]})
     hat = opposite(q, q.grading_element)
-    t = standardize_type(ss, hat.space)
+    # the opposite is the nonpositive part of -ξ, which lies in ml
+    minus_xi = vec_scale(-1, q.grading_element)
+    assert ss.rd.span_of(a for a in ss.rd.roots
+                         if ss.rd.eval_root(a, minus_xi) <= 0) == hat.space
+    t = standardize_type(ss, minus_xi, hat.dim)
     assert t == frozenset({ss.simples[1]})
+    with pytest.raises(InternalCheckError, match="wrong dimension"):
+        standardize_type(ss, minus_xi, hat.dim + 1)
 
 
 def test_type_of_any_matches_type_of():
@@ -147,6 +168,65 @@ def test_type_of_any_matches_type_of():
         nilvecs = opposite(ss.chamber).nilradical.vectors()
         pc = conjugate_parabolic(q, g.exp_ad(nilvecs[0]))
         assert type_of_any(ss, pc) == frozenset({a})
+
+
+def reference_type(ss, p, l):
+    """The type as the transport computed it before, for l the common
+    Levi of p and the base chamber pb: u ∈ exp(ad nil(pb)) with
+    u·l = ml, from two grading lifts of pb and an iterative solve,
+    applied to p; then the root set of u·p, descended."""
+    g = ss.rd.ambient
+    pb = ss.chamber
+    xi_from, _ = grading_lift(pb, l)
+    xi_to, _ = grading_lift(pb, ss.rd.levi)
+    # the two lifts may differ by a central element; drop it
+    nb, zb = pb.nilradical.vectors(), g.center().vectors()
+    if zb:
+        res = solve(Matrix(nb + zb).transpose(), vec_sub(xi_to, xi_from))
+        xi_to = vec_sub(xi_to, lincomb(res[0][len(nb):], zb, g.dim))
+    u = Matrix.identity(g.dim)
+    cur = xi_from
+    for _ in range(g.dim):
+        r = vec_sub(xi_to, cur)
+        if vec_is_zero(r):
+            break
+        res = solve(Matrix([g.bracket(b, cur) for b in nb]).transpose(), r)
+        u = g.exp_ad(lincomb(res[0], nb, g.dim)) * u
+        cur = u.mulvec(xi_from)
+    assert vec_is_zero(vec_sub(xi_to, cur))
+    _, S = _descend(ss, ss.rd.root_set_of(g.apply_auto(u, p.space)))
+    assert ss.negative_roots() <= S
+    return frozenset(a for a in ss.simples if a not in S)
+
+
+@pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2),
+                                  lambda: gl(4)],
+                         ids=["gl3", "so32", "gl4"])
+def test_type_of_any_matches_the_reference_transport(make, monkeypatch):
+    g = make()
+    ss = standard_simple_system(g)
+    rd = ss.rd
+    # the reference takes the common Levi type_of_any computed
+    levis = []
+    real = rootdata.common_levi
+
+    def recording(p, q):
+        levis.append(real(p, q))
+        return levis[-1]
+
+    monkeypatch.setattr(rootdata, "common_levi", recording)
+    # a principal nilpotent of the opposite Borel (the chamber holds
+    # the negative roots): it moves every proper standard parabolic
+    x = lincomb([1] * len(ss.simples),
+                [rd.root_spaces[a].vectors()[0] for a in ss.simples], g.dim)
+    u = g.exp_ad(x)
+    for J, q in all_standard_parabolics(g).items():
+        conj = conjugate_parabolic(q, u)
+        for p in (q, conj):
+            t = type_of_any(ss, p)
+            assert t == reference_type(ss, p, levis[-1]) == J
+        if J:
+            assert not conj.space.contains(rd.levi)
 
 
 def test_duality_involution():
