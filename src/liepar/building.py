@@ -7,8 +7,9 @@ are identified with their root sets (which determine the minimal
 parabolic subspaces bijectively).  Weyl words come from one descent by
 simple reflections (rootdata._descend); their canonical forms descend
 once more, by right descents, instead of searching W.  The W-distance
-between two Lie chambers reads its local simple system off
-rootdata.local_simple_system, the one helper that builds them.
+between two Lie chambers is read in the base apartment: one inner
+automorphism moves both into it, through their grading elements
+(rootdata.apartment_word), so no root datum is built for them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from functools import partial
 from itertools import combinations, permutations
 
 from .errors import DomainError, InternalCheckError
-from .parabolic import ParabolicData, common_levi, make_parabolic
+from .parabolic import (
+    ParabolicData,
+    common_levi,
+    compatible_lifts,
+    make_parabolic,
+)
 
 __all__ = [
     "IncidenceSystem",
@@ -389,10 +395,10 @@ def lie_apartment(g, rd) -> LieApartment:
     return apt
 
 
-def canonical_word(ss, word, generator_order):
+def canonical_word(ss, word):
     """Shortlex-canonical form of a word in simple reflections, with
-    generators enumerated in the given order (list of positions into
-    ss.simples); the result is a tuple of such positions.
+    generators enumerated in the order of ss.simples; a word is a
+    sequence of positions into ss.simples, the result a tuple of them.
 
     Let w be the root map that applies the word's reflections in turn
     (a word u gives σ_{u_k}∘…∘σ_{u_1}), and call σ_α a right descent
@@ -402,59 +408,58 @@ def canonical_word(ss, word, generator_order):
     dropping a first letter σ_α leaves a word for wσ_α, so ℓ(wσ_α) <
     ℓ(w); and σ_α followed by a reduced word for wσ_α is a word for w
     of length ℓ(w).  So the shortlex-least word, which is reduced,
-    starts with the right descent that comes first in the given order
-    and continues with the shortlex-least word for wσ_α.  Each step
-    shortens w by one, so the loop ends, and it returns the word that
-    the breadth-first shortlex search over W returns."""
+    starts with the first right descent and continues with the
+    shortlex-least word for wσ_α.  Each step shortens w by one, so the
+    loop ends, and it returns the word that the breadth-first shortlex
+    search over W returns."""
     perms = ss.reflections
     w = {r: r for r in ss.rd.roots}
     for i in word:
         w = {r: perms[i][x] for r, x in w.items()}
     out = []
     while True:
-        pos = next((pos for pos, i in enumerate(generator_order)
-                    if ss.levels[w[ss.simples[i]]] < 0), None)
-        if pos is None:
+        i = next((i for i, a in enumerate(ss.simples)
+                  if ss.levels[w[a]] < 0), None)
+        if i is None:
             return tuple(out)
-        p = perms[generator_order[pos]]
-        w = {r: w[p[r]] for r in w}
-        out.append(pos)
+        w = {r: w[perms[i][r]] for r in w}
+        out.append(i)
 
 
 def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss):
-    """Canonical Weyl word between two minimal parabolics.
+    """Canonical Weyl word between two minimal parabolics, read in the
+    base apartment: for compatible lifts (ξ_b, ξ_c), with their joint
+    centralizer l a Levi of both chambers, rootdata.apartment_word
+    moves both by one inner u into it, u·pb = w_b·C₀ and u·pc = w_c·C₀.
+    δ is invariant under inner automorphisms, and the panel of type i
+    of w·C₀ is crossed by w s_i w⁻¹, so δ(pb, pc) = w_b⁻¹w_c in the
+    labels of base_ss's simples (indices into base_ss.simples).
 
-    Builds the simple system of pb over a common Levi of pb and pc,
-    walks between the chambers, and returns the shortlex-canonical
-    word.  Generators are indexed by their adjoint-orbit type relative
-    to base_ss, which makes the word invariant under inner
-    automorphisms.  Non-minimal input is a DomainError: p contains a
-    minimal p₀, conjugate to base_ss.chamber, and nil(p) ⊆ nil(p₀), so
-    equal nilradical dimensions give nil(p) = nil(p₀) and p = p₀ (each
-    is the perp of its nilradical).
+    Non-minimal input is a DomainError: p contains a minimal p₀,
+    conjugate to base_ss.chamber, and nil(p) ⊆ nil(p₀), so equal
+    nilradical dimensions give nil(p) = nil(p₀) and p = p₀ (each is the
+    perp of its nilradical).
     """
-    from .rootdata import base_types, local_simple_system, weyl_word
+    from .rootdata import apartment_word
 
-    nil_dim = base_ss.chamber.nilradical.dim
+    base = base_ss.chamber
+    nil_dim = base.nilradical.dim
     if pb.nilradical.dim != nil_dim or pc.nilradical.dim != nil_dim:
         raise DomainError("not a minimal parabolic")
-    if pb == base_ss.chamber:
-        pb = base_ss.chamber  # carries its filtration already
-    l = common_levi(pb, pc)
+    if pb == base:
+        pb = base  # carries its filtration already
+    g = pb.ambient
+    xi_b, xi_c = compatible_lifts(pb, pc)
+    l = g.centralizer_element(xi_b).intersect(g.centralizer_element(xi_c))
     if not (pb.has_levi(l) and pc.has_levi(l)):
         raise InternalCheckError("common Levi is not a complement of the"
                                  " nilradical")
-    ss = local_simple_system(base_ss, l, pb)
-    word = weyl_word(ss, pc)
-    # canonical generator order: sort local simples by the base-system
-    # type of their maximal parabolic
-    labels = list(base_types(ss, base_ss).values())
-    base_order = list(base_ss.simples)
-    order = sorted(range(len(ss.simples)),
-                   key=lambda i: base_order.index(labels[i]))
-    w = canonical_word(ss, word, order)
-    # report the word in base-type labels (as indices into base Φ¹)
-    return tuple(base_order.index(labels[order[pos]]) for pos in w)
+    lb = l if pb is base else common_levi(pb, base)
+    if lb is not l and not pb.has_levi(lb):
+        raise InternalCheckError("common Levi with the base chamber is not"
+                                 " a complement of nil(pb)")
+    return canonical_word(base_ss, apartment_word(base_ss, pb, lb,
+                                                  xi_b, xi_c))
 
 
 # ---------------------------------------------------------------------------

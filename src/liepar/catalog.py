@@ -299,14 +299,21 @@ def flag_from_parabolic(p: ParabolicData) -> FlagSpec:
 
 
 def standard_minimal_levi(g: LieAlgebra):
-    """(minimal Levi subspace, RootDatum on the split part)."""
+    """(minimal Levi subspace, RootDatum on the split part).  The Cartan
+    is diagonal in the realization, and h acts on E_ij ∈ gl(V) ⊇ g by
+    d_i − d_j, d its diagonal: those differences are the candidates."""
     from .rootdata import root_decomposition
 
     e = entry(g)
     if e.minimal_levi is None:
         a = Subspace.from_vectors(
             g.dim, [element_from_matrix(g, h) for h in e.cartan])
-        rd = root_decomposition(g, a)
+        sz = realization_size(g)
+        diagonals = [[sum(c * r[i, i] for c, r in zip(h, g.realization))
+                      for i in range(sz)] for h in a.vectors()]
+        rd = root_decomposition(g, a, {
+            tuple(d[i] - d[j] for d in diagonals)
+            for i in range(sz) for j in range(sz)})
         e.minimal_levi = (rd.levi, rd)
     return e.minimal_levi
 

@@ -426,8 +426,10 @@ def build_parser():
 
     p = sub.add_parser("building", help="apartment models and lie"
                                         " apartments")
-    p.add_argument("algebra", nargs="?", default=None)
-    p.add_argument("--model", help="A:n or B:n")
+    # an algebra and a model would each be a whole answer
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("algebra", nargs="?", default=None)
+    source.add_argument("--model", help="A:n or B:n")
     out = p.add_mutually_exclusive_group()
     out.add_argument("--dot", action="store_true")
     out.add_argument("--table", action="store_true",

@@ -8,7 +8,8 @@ center parabolic q restricts the model along the type map nu_q and
 pushes each element through parabolic projection.  The center's
 local simple system comes from rootdata.local_simple_system, over the
 base chamber itself for a standard center, and otherwise over the
-chamber that parabolic projection finds inside the center.
+chamber that parabolic projection finds inside the center; the Levi
+quotient's roots are that system's roots, read through the projection.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .parabolic import (
     make_parabolic,
     project,
 )
-from .ratmat import Subspace
+from .ratmat import Matrix, Subspace, lincomb, solve
 from .rootdata import (
     base_types,
     duality_involution,
@@ -176,7 +177,16 @@ class _CenterStructures:
             l = common_levi(q, pb)
             chamber, pb0 = project(q, pb)
         ss_q = local_simple_system(base_ss, l, chamber)
-        rd0 = root_decomposition(lq.algebra, lq.project_space(l))
+        # l ∩ nil(q) ⊆ l ∩ nil(chamber) = 0: a quotient root is a root
+        # of l read on the preimages in l of a0's canonical basis
+        a0 = lq.project_space(l)
+        lv = l.vectors()
+        onto = Matrix([lq.project_vector(h) for h in lv]).transpose()
+        pre = [lincomb(solve(onto, b)[0], lv, q.ambient.dim)
+               for b in a0.vectors()]
+        rd0 = root_decomposition(lq.algebra, a0, [
+            tuple(ss_q.rd.eval_root(a, h) for h in pre)
+            for a in ss_q.rd.roots])
         self.ss0 = simple_system(rd0, pb0)
         # local g-simples not crossed in q, matched to quotient simples
         # by projecting their root spaces

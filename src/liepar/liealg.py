@@ -3,13 +3,14 @@
 Brackets, transporters, normalizers/centralizers, lower central series,
 induced filtrations, trace forms, terminating exponentials, and quotient
 algebras.  An algebra may carry a faithful matrix realization; its
-trace form then serves as the invariant form used for perps.
+trace form then serves as the invariant form used for perps.  No
+eigenvalue is searched for: eigenspaces are kernels at known values.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, product
-from math import factorial, gcd
+from math import factorial
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
@@ -28,112 +29,14 @@ from .ratmat import (
 __all__ = ["LieAlgebra", "Filtration", "minimal_polynomial"]
 
 
-# ---------------------------------------------------------------------------
-# polynomials over Q, coefficient lists low-to-high
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_monic(p):
-    lead = p[-1]
-    if lead == 1:
-        return p
-    return [c / lead for c in p]
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Q(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        s = len(a) - len(b)
-        q[s] = f
-        for i, c in enumerate(b):
-            a[s + i] -= f * c
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_exact_div(a, b, check):
-    q, r = _poly_divmod(a, b)
-    if r:
-        raise InternalCheckError(check)
-    return q
-
-
-def poly_rational_roots(p):
-    """Rational roots of p: (roots, remainder_degree), each root listed
-    once per multiplicity; remainder_degree > 0 means the polynomial
-    does not split into rational linear factors."""
-    p = _poly_monic(list(p))
-    roots = []
-    # clear denominators, then rational root theorem on the result
-    while len(p) > 1:
-        den = 1
-        for c in p:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ip = [int(c * den) for c in p]
-        while ip and ip[0] == 0:
-            # factor of t
-            roots.append(Q(0))
-            p = _poly_exact_div(p, [Q(0), Q(1)], "rational roots: t does"
-                                " not divide p")
-            ip = ip[1:]
-        if len(p) <= 1:
-            break
-        found = None
-        a0, an = abs(ip[0]), abs(ip[-1])
-        for num in _divisors(a0):
-            for den2 in _divisors(an):
-                for s in (1, -1):
-                    cand = Q(s * num, den2)
-                    if _poly_eval(p, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return roots, len(p) - 1
-        roots.append(found)
-        p = _poly_exact_div(p, [-found, Q(1)], "rational roots: t - %s"
-                            " does not divide p" % found)
-    return roots, 0
-
-
-def _poly_eval(p, x):
-    v = Q(0)
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
-
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def minimal_polynomial(m: Matrix):
     """Monic minimal polynomial of m (low-to-high coefficient list).
 
     It is the annihilator of I under X ↦ X·m, since a polynomial p acts
     on I as p(m): one Krylov echelon of the flattened powers I, m, m²,
     …, each tagged with the polynomial producing it, until a power
-    reduces to zero."""
+    reduces to zero.  No library code calls it: eigenvalues are known
+    where they are needed, and perfbench's tracer names it."""
     basis = []  # (nonzeros of a reduced flat power, poly, pivot)
     power = Matrix.identity(m.rows)
     while True:
@@ -154,9 +57,6 @@ def minimal_polynomial(m: Matrix):
         basis.append(([(i, x * inv) for i, x in enumerate(w) if x],
                       [c * inv for c in q], piv))
         power = power * m
-
-
-# ---------------------------------------------------------------------------
 
 
 class Filtration:

@@ -14,12 +14,7 @@ from math import comb
 from typing import Optional
 
 from .errors import DomainError, InternalCheckError
-from .liealg import (
-    Filtration,
-    LieAlgebra,
-    minimal_polynomial,
-    poly_rational_roots,
-)
+from .liealg import Filtration, LieAlgebra
 from .ratmat import (
     Matrix,
     Q,
@@ -38,7 +33,6 @@ __all__ = [
     "make_parabolic",
     "conjugate_parabolic",
     "grading_lift",
-    "ad_eigenspaces",
     "opposite",
     "is_costandard",
     "is_weakly_opposite",
@@ -243,28 +237,6 @@ def grading_lift(pd: ParabolicData, constraint: Optional[Subspace] = None):
             "grading-lift torsor is not (nil(p) + z(g)) ∩ constraint"
         )
     return xi, torsor
-
-
-def ad_eigenspaces(g: LieAlgebra, xi):
-    """Decompose g into rational ad(ξ)-eigenspaces; errors if ad(ξ) is
-    not split semisimple."""
-    m = g.ad(xi)
-    mp = minimal_polynomial(m)
-    roots, rem = poly_rational_roots(mp)
-    if rem:
-        raise DomainError("ad(ξ) has irrational eigenvalues")
-    if len(set(roots)) != len(roots) or len(roots) != len(mp) - 1:
-        raise DomainError("ad(ξ) not semisimple")
-    spaces = {}
-    total = 0
-    ident = Matrix.identity(g.dim)
-    for lam in sorted(set(roots)):
-        es = kernel(m - ident.scale(lam))
-        spaces[lam] = es
-        total += es.dim
-    if total != g.dim:
-        raise DomainError("eigenspaces do not span")
-    return spaces
 
 
 def opposite(pd: ParabolicData, xi=None) -> ParabolicData:

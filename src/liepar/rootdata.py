@@ -1,15 +1,16 @@
 """Restricted root systems of split Cartan subspaces.
 
-Root space decompositions, coroots, simple systems with fundamental
-coweights/weights, the subset ↔ parabolic bijection, root reflections
-as exact inner automorphisms, Weyl words between chambers of one
-apartment, the duality involution, and normalization of an arbitrary
-parabolic into standard position (which makes types canonical).  Types
-are read off grading elements in ml (levi_transport).  Weyl words and
-standard positions both come from one descent by simple reflections
-(_descend).  Every simple system of a chamber over a common Levi comes
-from one helper (local_simple_system), which falls back on the base
-simple system when it would rebuild it.
+Root space decompositions at candidate roots the caller knows (one
+kernel each, no eigenvalue search), coroots, simple systems with
+fundamental coweights/weights, the subset ↔ parabolic bijection, root
+reflections as exact inner automorphisms, Weyl words, the duality
+involution, and normalization of an arbitrary parabolic into standard
+position (which makes types canonical).  Types and W-distances are read
+off grading elements moved into ml (levi_transport), in the base
+apartment (apartment_word).  Weyl words and standard positions both
+come from one descent by simple reflections (_descend).  A simple
+system over another Levi of the base chamber (local_simple_system)
+takes its candidate roots from the base roots through the same move.
 
 Roots are represented by their value tuples on the canonical basis of
 the Cartan subspace.
@@ -23,7 +24,6 @@ from .errors import DomainError, InternalCheckError
 from .liealg import LieAlgebra
 from .parabolic import (
     ParabolicData,
-    ad_eigenspaces,
     common_levi,
     grading_lift,
     make_parabolic,
@@ -32,6 +32,7 @@ from .ratmat import (
     Matrix,
     Q,
     Subspace,
+    kernel,
     lincomb,
     solve,
     vec_is_zero,
@@ -49,6 +50,7 @@ __all__ = [
     "type_of",
     "root_reflection",
     "weyl_word",
+    "apartment_word",
     "duality_involution",
     "standardize_type",
     "type_of_any",
@@ -134,47 +136,35 @@ class RootDatum:
         return perm
 
 
-def root_decomposition(g: LieAlgebra, a: Subspace) -> RootDatum:
-    """Simultaneous ad-eigenspace decomposition for a split abelian
-    subspace, with coroots and integrality established."""
+def root_decomposition(g: LieAlgebra, a: Subspace, candidates) -> RootDatum:
+    """Root space decomposition of g under a split abelian subspace a,
+    with coroots and integrality established.
+
+    ``candidates`` are value tuples on a's canonical basis that include
+    every root; 0 is added here.  The joint eigenspace of a character β
+    is one kernel: that of ad h_k − β_k stacked over the basis h_k of a.
+    Eigenspaces of distinct characters are independent, so the kernels
+    fill g iff no root is missing from the candidates; the fill check
+    certifies the list, and a short one is an InternalCheckError."""
     if g.bracket_spaces(a, a).dim != 0:
         raise DomainError("Cartan subspace not abelian")
-    components = [(Subspace.full(g.dim), ())]
-    for h in a.vectors():
-        try:
-            eigen = ad_eigenspaces(g, h)
-        except DomainError:
-            raise DomainError(
-                "Cartan subspace not split (ad not rationally"
-                " diagonalizable)"
-            ) from None
-        nxt = []
-        for space, vals in components:
-            found = 0
-            for lam, ker in eigen.items():
-                es = space.intersect(ker)
-                if es.dim:
-                    nxt.append((es, vals + (lam,)))
-                    found += es.dim
-            if found != space.dim:
-                raise InternalCheckError("eigenspace refinement lost"
-                                         " dimensions")
-        components = nxt
-    levi = None
+    ads = [g.ad(h).data for h in a.vectors()]
+    zero = (Q(0),) * a.dim
     root_spaces = {}
-    for space, vals in components:
-        if all(v == 0 for v in vals):
-            levi = space
-        else:
-            root_spaces[vals] = space
-    if levi is None:
-        levi = Subspace.zero(g.dim)
+    for beta in {tuple(map(Q, c)) for c in candidates} | {zero}:
+        es = kernel(Matrix([r[:i] + (r[i] - b,) + r[i + 1:]
+                            for m, b in zip(ads, beta)
+                            for i, r in enumerate(m)]))
+        if es.dim:
+            root_spaces[beta] = es
+    levi = root_spaces.pop(zero, Subspace.zero(g.dim))
     if levi != g.centralizer(a):
         raise InternalCheckError("zero component differs from the"
                                  " centralizer of a")
     if levi.dim + sum(s.dim for s in root_spaces.values()) != g.dim:
         raise InternalCheckError("root space decomposition does not"
-                                 " fill the algebra")
+                                 " fill the algebra: a root is missing"
+                                 " from the candidates")
     roots = sorted(root_spaces)
     coroots = {}
     for alpha in roots:
@@ -304,22 +294,29 @@ def simple_system(rd: RootDatum, pb: ParabolicData) -> SimpleSystem:
 def local_simple_system(base_ss: SimpleSystem, l: Subspace,
                         chamber: ParabolicData) -> SimpleSystem:
     """Simple system of a chamber over the root datum of l, a Levi of
-    the chamber: check that l is abelian, decompose g under l, check
-    that l is the zero part, and read the simples off the chamber.
+    the base chamber pb₀ inside the chamber, as l = common_levi(q, pb₀)
+    is: c(ξ_b) is a Levi of pb₀, ξ_q ∈ c(ξ_b) has real eigenvalues, so
+    it lies in the split part of c(ξ_b), central there, and l = c(ξ_b).
 
-    The base chamber over its own Cartan is base_ss, and the steps
-    would rebuild it: l and ml both complement nil(chamber), so dim l =
-    dim ml, and l, the Cartan, lies in ml, so l = ml.  (In so(3,1),
-    ml = a + so(2) is larger than a, so the common Levi of the base
-    chamber and its opposite, ml, is not the Cartan and takes the
-    steps.)"""
+    For u ∈ exp(ad nil(pb₀)) with u·l = ml, u carries the eigenspace of
+    a character β of l onto that of β ∘ u⁻¹, and u acts on l as
+    levi_transport: so the roots of l are the α ∘ levi_transport, α a
+    root of a, and l ≅ ml = a ⊕ m is split iff m = 0.  The base chamber
+    over its own Cartan is base_ss itself (l and ml both complement
+    nil(pb₀) and l, the Cartan, lies in ml, so l = ml)."""
     if chamber == base_ss.chamber and l == base_ss.rd.cartan:
         return base_ss
     g = chamber.ambient
     if g.bracket_spaces(l, l).dim != 0:
         raise DomainError("common Levi not abelian; split part"
                           " extraction not implemented for this case")
-    rd = root_decomposition(g, l)
+    rd0 = base_ss.rd
+    if rd0.levi != rd0.cartan:
+        raise DomainError("Cartan subspace not split (ad not rationally"
+                          " diagonalizable)")
+    moved = [levi_transport(base_ss, l, h) for h in l.vectors()]
+    rd = root_decomposition(g, l, [
+        tuple(rd0.eval_root(a, h) for h in moved) for a in rd0.roots])
     if rd.levi != l:
         raise InternalCheckError("common Levi is not its own"
                                  " centralizer's zero part")
@@ -437,15 +434,56 @@ def weyl_word(ss: SimpleSystem, pc: ParabolicData):
     return word
 
 
-def standardize_type(ss: SimpleSystem, eta, dim):
-    """Type of the parabolic ml ⊕ ⊕_{α(η) ≤ 0} g_α of dimension dim,
-    for η ∈ ml: descend its root set into standard position and read
-    off the simples it misses."""
+def apartment_word(ss: SimpleSystem, pb: ParabolicData, lb: Subspace,
+                   xi_b, xi_c):
+    """A word for w_b⁻¹w_c, in positions of ss.simples, where u·pb =
+    w_b·C₀ and u·pc = w_c·C₀ for an inner u, C₀ the base chamber pb₀:
+    ξ_b, ξ_c are commuting grading lifts of the chambers pb, pc, their
+    joint centralizer l is a Levi of both, and lb is a Levi of pb and
+    of pb₀, lb = l when pb is pb₀.
+
+    Proof: take v ∈ exp(ad nil(pb)) with v·l = lb.  ξ ∈ l ⊆ pb and
+    nil(pb) is an ideal of pb, so v·ξ − ξ ∈ nil(pb) and v·ξ ∈ lb: v acts
+    on l as the lb-component in pb = lb ⊕ nil(pb) (as in
+    levi_transport, which then applies the u′ ∈ exp(ad nil(pb₀)) with
+    u′·lb = ml).  So u = u′v is inner, u·l = ml and η = u·ξ ∈ ml.  A
+    parabolic is the nonpositive part of ad of its grading lift (as in
+    opposite), so u·pb = ml ⊕ ⊕_{α(η_b) ≤ 0} g_α; likewise for pc.  The
+    dimension check on this root set S_b also shows that no α(η_b) is
+    0: S_b contains the root set of a chamber, that of a nearby regular
+    η, and strictly so if some α(η_b) = 0.  W acts simply transitively
+    on the chambers of the apartment, so descending S_b to the base
+    chamber applies w_b⁻¹, and the same reflections carry S_c to
+    w_b⁻¹w_c·C₀, whose word is the descent of it, reversed."""
+    if pb is not ss.chamber:
+        xi_b, xi_c = (_levi_component(pb, lb, x) for x in (xi_b, xi_c))
+    sb, sc = (_nonpositive_roots(ss, levi_transport(ss, lb, x),
+                                 ss.chamber.dim) for x in (xi_b, xi_c))
+    base_neg = ss.negative_roots()
+    word, s = _descend(ss, sb)
+    for i in word:
+        sc = frozenset(ss.reflections[i][a] for a in sc)
+    word, t = _descend(ss, sc)
+    if s != base_neg or t != base_neg:
+        raise InternalCheckError("chamber descent missed the base chamber")
+    return word[::-1]
+
+
+def _nonpositive_roots(ss: SimpleSystem, eta, dim):
+    """{α : α(η) ≤ 0}, the root set of ml ⊕ ⊕_{α(η) ≤ 0} g_α for η ∈
+    ml, checked to have dimension dim."""
     rd = ss.rd
     S = frozenset(a for a in rd.roots if rd.eval_root(a, eta) <= 0)
     if rd.levi.dim + sum(rd.root_spaces[a].dim for a in S) != dim:
         raise InternalCheckError("nonpositive part of wrong dimension")
-    _, S = _descend(ss, S)
+    return S
+
+
+def standardize_type(ss: SimpleSystem, eta, dim):
+    """Type of the parabolic ml ⊕ ⊕_{α(η) ≤ 0} g_α of dimension dim,
+    for η ∈ ml: descend its root set into standard position and read
+    off the simples it misses."""
+    _, S = _descend(ss, _nonpositive_roots(ss, eta, dim))
     if not ss.negative_roots() <= S:
         raise InternalCheckError("standardized root set not standard")
     return frozenset(a for a in ss.simples if a not in S)
@@ -470,9 +508,14 @@ def levi_transport(ss: SimpleSystem, l: Subspace, xi):
                                  " base chamber")
     if not l.contains_vector(xi):
         raise InternalCheckError("grading element not in the common Levi")
-    mb = rd.levi.vectors()
-    t, _ = solve(Matrix(mb + pb.nilradical.vectors()).transpose(), xi)
-    return lincomb(t[:len(mb)], mb, rd.ambient.dim)
+    return _levi_component(pb, rd.levi, xi)
+
+
+def _levi_component(p: ParabolicData, l: Subspace, x):
+    """The l-component of x ∈ p in p = l ⊕ nil(p), for l a Levi of p."""
+    lv = l.vectors()
+    t, _ = solve(Matrix(lv + p.nilradical.vectors()).transpose(), x)
+    return lincomb(t[:len(lv)], lv, len(x))
 
 
 def type_of_any(ss: SimpleSystem, p: ParabolicData):

@@ -1,6 +1,5 @@
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 
 import pytest
@@ -38,8 +37,8 @@ from liepar.catalog import (
     standard_simple_system,
 )
 from liepar.errors import DomainError, InternalCheckError
-from liepar.parabolic import make_parabolic, opposite
-from liepar.ratmat import Subspace
+from liepar.parabolic import conjugate_parabolic, make_parabolic, opposite
+from liepar.ratmat import Subspace, lincomb
 
 
 def test_model_A_counts():
@@ -126,9 +125,9 @@ def apartment_words(name):
                 for c in ap.chambers}
 
 
-@pytest.mark.parametrize("name, every_order", [
+@pytest.mark.parametrize("name, pad_every", [
     ("gl3", True), ("gl4", True), ("so32", True), ("so43", False)])
-def test_canonical_word_matches_the_shortlex_search(name, every_order):
+def test_canonical_word_matches_the_shortlex_search(name, pad_every):
     ap, words = apartment_words(name)
     ss = ap.ss
 
@@ -139,18 +138,20 @@ def test_canonical_word_matches_the_shortlex_search(name, every_order):
     # the search over all of W that canonical_word replaces
     ident = tuple(sorted(ss.rd.roots))
     n = len(ss.simples)
-    orders = permutations(range(n)) if every_order else [tuple(range(n))]
-    for order in orders:
-        oracle = _shortlex(ident, [(pos, act(i))
-                                   for pos, i in enumerate(order)])
-        for word in words.values():
-            target = ident
-            for i in word:
-                target = act(i)(target)
-            assert canonical_word(ss, word, list(order)) == oracle[target]
-            # a word that is not reduced has the same canonical form
-            assert canonical_word(ss, word + [order[0]] * 2,
-                                  list(order)) == oracle[target]
+    oracle = _shortlex(ident, [(i, act(i)) for i in range(n)])
+    for word in words.values():
+        target = ident
+        for i in word:
+            target = act(i)(target)
+        assert canonical_word(ss, word) == oracle[target]
+        # a word that is not reduced has the same canonical form: padded
+        # with σ_i σ_i for every i in front, in the middle and at the end,
+        # or with σ_0 σ_0 at the end
+        cuts = (0, len(word) // 2, len(word)) if pad_every else (len(word),)
+        for i in range(n) if pad_every else range(1):
+            for cut in cuts:
+                padded = word[:cut] + [i, i] + word[cut:]
+                assert canonical_word(ss, padded) == oracle[target]
 
 
 @pytest.mark.parametrize("name", ["gl4", "so43"])
@@ -223,29 +224,49 @@ def test_delta_parabolic_from_the_base_chamber_transports_nothing(
     g = make()
     ss = standard_simple_system(g)
     pb = standard_borel(g)
-    # the base system labels its own simples: base_types would transport
-    # the base chamber onto itself
-    def transported(*args):
-        raise AssertionError("base chamber transported onto itself")
+    # from the base chamber, lb = l: no common Levi with the base chamber
+    # is sought, and the lifts reach levi_transport as they are, not
+    # moved within pb
+    def sought(*args):
+        raise AssertionError("common Levi with the base chamber sought")
 
-    monkeypatch.setattr(rootdata, "levi_transport", transported)
-    monkeypatch.setattr(rootdata, "common_levi", transported)
+    lifts, moved = [], []
+    real_lifts, real_transport = building.compatible_lifts, \
+        rootdata.levi_transport
+
+    def lifting(p, q):
+        lifts.extend(real_lifts(p, q))
+        return lifts[-2:]
+
+    def transporting(base_ss, l, xi):
+        moved.append(xi)
+        return real_transport(base_ss, l, xi)
+
+    monkeypatch.setattr(building, "common_levi", sought)
+    monkeypatch.setattr(building, "compatible_lifts", lifting)
+    monkeypatch.setattr(rootdata, "levi_transport", transporting)
     assert delta_parabolic(pb, opposite(pb), ss) == word
     assert delta_parabolic(pb, pb, ss) == ()
+    assert moved == lifts and len(lifts) == 4
 
 
-def grown(g, p, q, l):
-    # l plus a line of nil(p): a complement of neither nilradical
-    return l.sum(Subspace.from_vectors(g.dim, p.nilradical.vectors()[:1]))
+def grown(g, p, q, lifts):
+    # both lifts replaced by a fundamental coweight: its centralizer is
+    # the Levi of a maximal parabolic, a complement of neither nilradical
+    ss = standard_simple_system(g)
+    omega = ss.fundamental_coweights[ss.simples[0]]
+    return omega, omega
 
 
-def moved_in_p(g, p, q, l):
-    # l moved by exp(nil(p)): still a Levi of p, but no longer inside q
-    return g.apply_auto(g.exp_ad(p.nilradical.vectors()[0]), l)
+def moved_in_p(g, p, q, lifts):
+    # the lifts moved by exp(nil(p)): their joint centralizer is still a
+    # Levi of p, but no longer inside q
+    u = g.exp_ad(p.nilradical.vectors()[0])
+    return tuple(u.mulvec(x) for x in lifts)
 
 
-def moved_in_q(g, p, q, l):
-    return moved_in_p(g, q, p, l)
+def moved_in_q(g, p, q, lifts):
+    return moved_in_p(g, q, p, lifts)
 
 
 @pytest.mark.parametrize("mutate", [grown, moved_in_p, moved_in_q])
@@ -254,20 +275,41 @@ def test_delta_parabolic_rejects_a_common_levi_off_the_nilradical(
     g = gl(3)
     ss = standard_simple_system(g)
     pc = opposite(ss.chamber, ss.xi)
-    real = building.common_levi
-    monkeypatch.setattr(building, "common_levi",
+    real = building.compatible_lifts
+    monkeypatch.setattr(building, "compatible_lifts",
                         lambda p, q: mutate(g, p, q, real(p, q)))
     with pytest.raises(InternalCheckError, match="not a complement"):
         delta_parabolic(ss.chamber, pc, ss)
 
 
-def test_delta_parabolic_so31_is_not_split():
-    # ml = a + so(2) is abelian but larger than the split Cartan a, so
-    # the base simple system must not stand in for the local one
-    g = so(3, 1)
+def dense_conjugate(ss, p):
+    """p moved by exp(ad x), x the sum of the opposite Borel's nilradical
+    basis."""
+    g = ss.rd.ambient
+    nil = opposite(ss.chamber, ss.xi).nilradical
+    u = g.exp_ad(lincomb([1] * nil.dim, nil.vectors(), g.dim))
+    return conjugate_parabolic(p, u)
+
+
+@pytest.mark.parametrize("p,q,word", [
+    (3, 1, (0,)), (4, 2, (0, 1, 0, 1)), (5, 2, (0, 1, 0, 1)), (3, 3, 6)],
+    ids=["so31", "so42", "so52", "so33"])
+def test_delta_parabolic_non_split(p, q, word):
+    # from the base chamber to its opposite: the longest word of the
+    # restricted Weyl group (so(3,3) ≅ sl(4) is split, of type A₃, and
+    # its longest word has length 6); ml is larger than a iff p − q > 1
+    g = so(p, q)
     ss = standard_simple_system(g)
-    with pytest.raises(DomainError, match="not split"):
-        delta_parabolic(ss.chamber, opposite(ss.chamber, ss.xi), ss)
+    assert (ss.rd.levi == ss.rd.cartan) == (p - q <= 1)
+    lower = opposite(ss.chamber, ss.xi)
+    w = delta_parabolic(ss.chamber, lower, ss)
+    assert w == word if isinstance(word, tuple) else len(w) == word
+    # the longest word is an involution
+    assert delta_parabolic(lower, ss.chamber, ss) == w
+    if (p, q) == (4, 2):
+        # conjugation invariance, with both chambers moved densely
+        pb, pc = (dense_conjugate(ss, x) for x in (ss.chamber, lower))
+        assert delta_parabolic(pb, pc, ss) == w
 
 
 def triangle():

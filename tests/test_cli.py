@@ -126,6 +126,43 @@ def test_delta(capsys):
     assert code == 0 and data["delta"] == [0]
 
 
+@pytest.mark.parametrize("spec", ["gl:3", "so:3,2"], ids=["gl3", "so32"])
+def test_cold_delta_on_dense_conjugates(spec):
+    # both chambers moved by a = exp(ad x), x the sum of the opposite
+    # Borel's nilradical basis, where a search for eigenvalues once ran
+    # for minutes; the timeout turns such a hang into a failure
+    from liepar.building import delta_parabolic
+    from liepar.catalog import standard_simple_system
+    from liepar.cli import _parse_algebra
+    from liepar.parabolic import conjugate_parabolic, opposite
+    from liepar.ratmat import lincomb
+
+    g = _parse_algebra(spec)
+    ss = standard_simple_system(g)
+    lower = opposite(ss.chamber, ss.xi)
+    nil = lower.nilradical
+    a = g.exp_ad(lincomb([1] * nil.dim, nil.vectors(), g.dim))
+    ba, lower_a = (conjugate_parabolic(p, a) for p in (ss.chamber, lower))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(liepar.__file__).parent.parent))
+
+    def cold_delta(p, q):
+        argv = ["delta", spec] + [
+            x for flag, pd in (("--p", p), ("--q", q)) for x in (
+                flag, json.dumps([[str(c) for c in v]
+                                  for v in pd.space.vectors()]))]
+        proc = subprocess.run([sys.executable, "-m", "liepar.cli"] + argv,
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return json.loads(proc.stdout)["delta"]
+
+    assert cold_delta(ba, ba) == []
+    longest = list(delta_parabolic(ss.chamber, lower, ss))
+    assert len(longest) == len(ss.positive_roots())
+    assert cold_delta(ba, lower_a) == longest
+
+
 def test_building_model(capsys):
     code, out = run(capsys, ["building", "--model", "A:2", "--table"])
     data = json.loads(out)
@@ -236,6 +273,9 @@ def test_space_from_file(tmp_path, capsys):
     # --dot prints the graph alone, so --table would be dropped
     (["building", "gl:2", "--dot", "--table"], None,
      "--table: not allowed with argument --dot"),
+    # an algebra and a model: either would be the whole answer
+    (["building", "gl:3", "--model", "A:1"], None,
+     "--model: not allowed with argument algebra"),
 ], ids=["catalog-rejects", "malformed-json", "missing-file",
         "wrong-length", "bad-model", "witness-algebra",
         "witness-empty-algebra", "stdin-empty-algebra", "stdin-algebra-int",
@@ -243,7 +283,7 @@ def test_space_from_file(tmp_path, capsys):
         "non-isotropic-center", "not-utf8-file",
         "closed-stdin", "missing-algebra", "unknown-verb",
         "delta-p-full", "delta-p-maximal", "delta-q-maximal",
-        "building-dot-table"])
+        "building-dot-table", "building-algebra-and-model"])
 def test_bad_input_is_one_domain_error(tmp_path, capsys, monkeypatch,
                                        argv, stdin, named):
     if stdin is not None:

@@ -15,8 +15,9 @@ TRACING = Path(liepar.__file__).parents[2] / "perfbench" / "tracing.py"
 # name -> the one module that may use it; the others go through its
 # public callers (rref / kernel / solve / Subspace for _rref_rows,
 # flag_stabilizer / frame_levi for _action_stabilizer, type_of_any /
-# base_types for levi_transport, induced_filtration for
-# _check_compatibility, weyl_word / standardize_type for _descend)
+# base_types / local_simple_system / apartment_word for levi_transport,
+# induced_filtration for _check_compatibility, weyl_word /
+# standardize_type / apartment_word for _descend)
 OWNER = {"_rref_rows": "ratmat.py", "_action_stabilizer": "catalog.py",
          "levi_transport": "rootdata.py",
          "_check_compatibility": "liealg.py", "_descend": "rootdata.py"}

@@ -246,14 +246,57 @@ def test_root_decomposition_rejects_non_toral():
     import liepar.catalog as cat
 
     nil = cat.standard_borel(g).nilradical
-    with pytest.raises(DomainError):
-        root_decomposition(g, nil)
+    # ad e has the one eigenvalue 0 and is not diagonalizable: no list
+    # of candidates fills g
+    with pytest.raises(InternalCheckError, match="does not fill"):
+        root_decomposition(g, nil, [(k,) for k in range(-2, 3)])
+    with pytest.raises(DomainError, match="not abelian"):
+        root_decomposition(g, nil.sum(opposite(cat.standard_borel(g))
+                                      .nilradical), [])
+
+
+def transported(rd, u):
+    """u·a and {α ∘ u⁻¹ on u·a's canonical basis: α} over the roots α
+    of a, the oracle for the root datum of u·a."""
+    a_u = rd.ambient.apply_auto(u, rd.cartan)
+    pre = [solve(u, h)[0] for h in a_u.vectors()]
+    return a_u, {tuple(rd.eval_root(a, x) for x in pre): a
+                 for a in rd.roots}
+
+
+def dense_conjugator(ss):
+    """exp(ad x) for x the sum of the opposite Borel's nilradical basis."""
+    g = ss.rd.ambient
+    nil = opposite(ss.chamber, ss.xi).nilradical
+    return g.exp_ad(lincomb([1] * nil.dim, nil.vectors(), g.dim))
+
+
+@pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2)],
+                         ids=["gl3", "so32"])
+def test_root_decomposition_at_transported_candidates(make):
+    g = make()
+    base = standard_simple_system(g)
+    rd = base.rd
+    u = dense_conjugator(base)
+    a_u, roots = transported(rd, u)
+    moved = root_decomposition(g, a_u, roots)
+    # the root spaces and coroots are those of a, moved by u
+    assert moved.levi == g.apply_auto(u, rd.levi)
+    assert set(moved.roots) == set(roots)
+    for beta, alpha in roots.items():
+        assert moved.root_spaces[beta] == g.apply_auto(
+            u, rd.root_spaces[alpha])
+        assert moved.coroots[beta] == u.mulvec(rd.coroots[alpha])
+    # one candidate short, and the kernels no longer fill g
+    with pytest.raises(InternalCheckError, match="does not fill"):
+        root_decomposition(g, a_u, sorted(roots)[1:])
 
 
 def conjugated_system(ss, u):
     """The simple system of u·chamber over the root datum of u·a."""
     g = ss.rd.ambient
-    rd = root_decomposition(g, g.apply_auto(u, ss.rd.cartan))
+    a_u, roots = transported(ss.rd, u)
+    rd = root_decomposition(g, a_u, roots)
     return simple_system(rd, conjugate_parabolic(ss.chamber, u))
 
 
@@ -302,14 +345,17 @@ def test_local_simple_system(make, monkeypatch):
     g = make()
     base = standard_simple_system(g)
     rd = base.rd
-    e = rd.root_spaces[sorted(base.positive_roots())[0]].vectors()[0]
-    u = g.exp_ad(e)
+    # f lies in nil(pb₀), so u·a is a Levi of pb₀ that is not ml
+    f = rd.root_spaces[sorted(base.negative_roots())[0]].vectors()[0]
+    u = g.exp_ad(f)
     l = g.apply_auto(u, rd.cartan)
-    chamber = conjugate_parabolic(base.chamber, u)
+    chamber = conjugate_parabolic(opposite(base.chamber, base.xi), u)
     assert not chamber.space.contains(rd.levi)
-    # the four steps on a conjugated chamber
+    # the root datum of l at the roots of a moved by u
+    _, roots = transported(rd, u)
     assert same_system(local_simple_system(base, l, chamber),
-                       simple_system(root_decomposition(g, l), chamber))
+                       simple_system(root_decomposition(g, l, roots),
+                                     chamber))
 
     def rebuilt(*args):
         raise AssertionError("base simple system rebuilt")
@@ -327,6 +373,18 @@ def test_local_simple_system_checks_its_levi():
     l = common_levi(q, opposite(q, q.grading_element))  # gl(2) + gl(1)
     with pytest.raises(DomainError, match="common Levi not abelian"):
         local_simple_system(base, l, base.chamber)
-    # the centre is abelian, but its centralizer is all of gl(3)
-    with pytest.raises(InternalCheckError, match="zero part"):
+    # the centre is abelian, but no Levi of the base chamber
+    with pytest.raises(InternalCheckError, match="wrong dimension"):
         local_simple_system(base, g.center(), base.chamber)
+    # u·a, for u = exp(ad e) with e outside pb₀, leaves the base chamber
+    e = base.rd.root_spaces[base.simples[0]].vectors()[0]
+    u = g.exp_ad(e)
+    with pytest.raises(InternalCheckError, match="not a complement"):
+        local_simple_system(base, g.apply_auto(u, base.rd.cartan),
+                            conjugate_parabolic(base.chamber, u))
+    # in so(3,1), ml = a + so(2) is abelian but not split
+    g31 = so(3, 1)
+    base31 = standard_simple_system(g31)
+    with pytest.raises(DomainError, match="not split"):
+        local_simple_system(base31, base31.rd.levi,
+                            opposite(base31.chamber, base31.xi))
