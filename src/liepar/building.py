@@ -21,7 +21,6 @@ from .errors import DomainError, InternalCheckError
 from .parabolic import (
     ParabolicData,
     common_levi,
-    compatible_lifts,
     make_parabolic,
 )
 
@@ -428,12 +427,13 @@ def canonical_word(ss, word):
 
 def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss):
     """Canonical Weyl word between two minimal parabolics, read in the
-    base apartment: for compatible lifts (ξ_b, ξ_c), with their joint
-    centralizer l a Levi of both chambers, rootdata.apartment_word
-    moves both by one inner u into it, u·pb = w_b·C₀ and u·pc = w_c·C₀.
-    δ is invariant under inner automorphisms, and the panel of type i
-    of w·C₀ is crossed by w s_i w⁻¹, so δ(pb, pc) = w_b⁻¹w_c in the
-    labels of base_ss's simples (indices into base_ss.simples).
+    base apartment: for the commuting lifts (ξ_b, ξ_c) that common_levi
+    returns with their joint centralizer l, a Levi of both chambers,
+    rootdata.apartment_word moves both by one inner u into it, u·pb =
+    w_b·C₀ and u·pc = w_c·C₀.  δ is invariant under inner
+    automorphisms, and the panel of type i of w·C₀ is crossed by
+    w s_i w⁻¹, so δ(pb, pc) = w_b⁻¹w_c in the labels of base_ss's
+    simples (indices into base_ss.simples).
 
     Non-minimal input is a DomainError: p contains a minimal p₀,
     conjugate to base_ss.chamber, and nil(p) ⊆ nil(p₀), so equal
@@ -448,13 +448,11 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss):
         raise DomainError("not a minimal parabolic")
     if pb == base:
         pb = base  # carries its filtration already
-    g = pb.ambient
-    xi_b, xi_c = compatible_lifts(pb, pc)
-    l = g.centralizer_element(xi_b).intersect(g.centralizer_element(xi_c))
+    l, xi_b, xi_c = common_levi(pb, pc)
     if not (pb.has_levi(l) and pc.has_levi(l)):
         raise InternalCheckError("common Levi is not a complement of the"
                                  " nilradical")
-    lb = l if pb is base else common_levi(pb, base)
+    lb = l if pb is base else common_levi(pb, base)[0]
     if lb is not l and not pb.has_levi(lb):
         raise InternalCheckError("common Levi with the base chamber is not"
                                  " a complement of nil(pb)")

@@ -174,7 +174,7 @@ class _CenterStructures:
         else:
             # the projection of the base chamber to q, and its image in
             # the quotient: a chamber inside q that contains q ∩ pb ⊇ l
-            l = common_levi(q, pb)
+            l = common_levi(q, pb)[0]
             chamber, pb0 = project(q, pb)
         ss_q = local_simple_system(base_ss, l, chamber)
         # l ∩ nil(q) ⊆ l ∩ nil(chamber) = 0: a quotient root is a root

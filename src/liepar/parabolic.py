@@ -2,9 +2,9 @@
 
 Recognition with cross-checked certificates, nilradicals and induced
 filtrations, Levi quotients, grading lifts and opposites, the pairwise
-relations (costandard / weakly opposite / opposite), compatible lifts,
-common Levis, parabolic projection, and lowest-weight lines in exterior
-powers of the adjoint representation.
+relations (costandard / weakly opposite / opposite), common Levis with
+their commuting grading lifts, parabolic projection, and lowest-weight
+lines in exterior powers of the adjoint representation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "is_weakly_opposite",
     "is_opposite",
     "project",
-    "compatible_lifts",
     "common_levi",
     "lowest_weight_line",
 ]
@@ -316,45 +315,45 @@ def project(q: ParabolicData, p: ParabolicData):
     return r, r0
 
 
-def compatible_lifts(p: ParabolicData, q: ParabolicData):
-    """Commuting grading lifts (ξ_p, ξ_q) inside p ∩ q: ξ_p is lifted
-    inside p ∩ q ∩ c_g(ξ_q)."""
+def common_levi(p: ParabolicData, q: ParabolicData):
+    """Common Levi of p and q with the grading lifts that define it:
+    (l, ξ_p, ξ_q), for ξ_q a grading lift of q inside p ∩ q, ξ_p one of
+    p inside p ∩ q ∩ c_g(ξ_q), and l = c_g(ξ_p) ∩ c_g(ξ_q).
+
+    ξ_p ∈ l serves every caller that needs a grading lift of p in l:
+    two such lifts differ by some n + z ∈ (nil(p) + z(g)) ∩ l (the
+    torsor of grading_lift) with z ∈ z(g) ⊆ l, so n ∈ l ∩ nil(p) ⊆
+    c_g(ξ_p) ∩ nil(p), which is 0 since ad ξ_p acts on each level
+    f^j/f^(j−1) of nil(p) = f^(−1) as j ≤ −1.  So they differ by an
+    element of z(g), where every root vanishes.
+
+    When the inputs are minimal parabolics l must be a Levi complement
+    of both nilradicals; callers that rely on it check it with
+    ParabolicData.has_levi.  Assertion failures are surfaced as
+    InternalCheckError, never patched.
+    """
     _same_ambient(p, q)
+    g = p.ambient
     inter = p.space.intersect(q.space)
     try:
         xi_q, _ = grading_lift(q, inter)
     except DomainError:
-        raise InternalCheckError(
-            "no grading lift of q inside p ∩ q"
-        )
-    commuting = inter.intersect(p.ambient.centralizer_element(xi_q))
+        raise InternalCheckError("no grading lift of q inside p ∩ q")
+    c_q = g.centralizer_element(xi_q)
     try:
-        xi_p, _ = grading_lift(p, commuting)
+        xi_p, _ = grading_lift(p, inter.intersect(c_q))
     except DomainError:
         raise InternalCheckError(
             "no commuting grading lift of p inside p ∩ q"
         )
-    if not vec_is_zero(p.ambient.bracket(xi_p, xi_q)):
+    if not vec_is_zero(g.bracket(xi_p, xi_q)):
         raise InternalCheckError("compatible lifts do not commute")
-    return xi_p, xi_q
-
-
-def common_levi(p: ParabolicData, q: ParabolicData) -> Subspace:
-    """Joint centralizer of a compatible lift pair.
-
-    When the inputs are minimal parabolics the result must be a Levi
-    complement of both nilradicals; callers that rely on it check it
-    with ParabolicData.has_levi.  Assertion failures are surfaced as
-    InternalCheckError, never patched.
-    """
-    g = p.ambient
-    xi_p, xi_q = compatible_lifts(p, q)
-    l = g.centralizer_element(xi_p).intersect(g.centralizer_element(xi_q))
-    if not p.space.intersect(q.space).contains(l):
+    l = g.centralizer_element(xi_p).intersect(c_q)
+    if not inter.contains(l):
         raise InternalCheckError("common Levi not inside p ∩ q")
     if not g.is_subalgebra(l):
         raise InternalCheckError("common Levi not a subalgebra")
-    return l
+    return l, xi_p, xi_q
 
 
 def _wedge_of(vectors, n):

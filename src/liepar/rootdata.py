@@ -294,7 +294,7 @@ def simple_system(rd: RootDatum, pb: ParabolicData) -> SimpleSystem:
 def local_simple_system(base_ss: SimpleSystem, l: Subspace,
                         chamber: ParabolicData) -> SimpleSystem:
     """Simple system of a chamber over the root datum of l, a Levi of
-    the base chamber pb₀ inside the chamber, as l = common_levi(q, pb₀)
+    the base chamber pb₀ inside the chamber, as l = common_levi(q, pb₀)[0]
     is: c(ξ_b) is a Levi of pb₀, ξ_q ∈ c(ξ_b) has real eigenvalues, so
     it lies in the split part of c(ξ_b), central there, and l = c(ξ_b).
 
@@ -520,11 +520,12 @@ def _levi_component(p: ParabolicData, l: Subspace, x):
 
 def type_of_any(ss: SimpleSystem, p: ParabolicData):
     """Type of an arbitrary parabolic relative to the base simple
-    system: its grading lift in a common Levi l with the base chamber,
-    moved into ml by an inner automorphism (levi_transport), then
-    standardized: the adjoint-orbit type."""
-    l = common_levi(p, ss.chamber)
-    xi, _ = grading_lift(p, l)
+    system: the grading lift ξ_p that common_levi(p, pb) returns with
+    the common Levi l, moved into ml by an inner automorphism
+    (levi_transport), then standardized: the adjoint-orbit type.  Any
+    other lift of p in l differs from ξ_p by an element of z(g), where
+    every root vanishes (common_levi), so the type is the same."""
+    l, xi, _ = common_levi(p, ss.chamber)
     return standardize_type(ss, levi_transport(ss, l, xi), p.dim)
 
 
@@ -542,7 +543,7 @@ def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
     """
     if ss is base_ss:
         return {a: a for a in ss.simples}
-    l = common_levi(ss.chamber, base_ss.chamber)
+    l = common_levi(ss.chamber, base_ss.chamber)[0]
     out = {}
     for alpha in ss.simples:
         q = parabolic_from_subset(ss, {alpha})

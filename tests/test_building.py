@@ -227,26 +227,25 @@ def test_delta_parabolic_from_the_base_chamber_transports_nothing(
     # from the base chamber, lb = l: no common Levi with the base chamber
     # is sought, and the lifts reach levi_transport as they are, not
     # moved within pb
-    def sought(*args):
-        raise AssertionError("common Levi with the base chamber sought")
-
-    lifts, moved = [], []
-    real_lifts, real_transport = building.compatible_lifts, \
+    seconds, lifts, moved = [], [], []
+    real_levi, real_transport = building.common_levi, \
         rootdata.levi_transport
 
-    def lifting(p, q):
-        lifts.extend(real_lifts(p, q))
-        return lifts[-2:]
+    def levi(p, q):
+        seconds.append(q)
+        l, xi_p, xi_q = real_levi(p, q)
+        lifts.extend((xi_p, xi_q))
+        return l, xi_p, xi_q
 
     def transporting(base_ss, l, xi):
         moved.append(xi)
         return real_transport(base_ss, l, xi)
 
-    monkeypatch.setattr(building, "common_levi", sought)
-    monkeypatch.setattr(building, "compatible_lifts", lifting)
+    monkeypatch.setattr(building, "common_levi", levi)
     monkeypatch.setattr(rootdata, "levi_transport", transporting)
     assert delta_parabolic(pb, opposite(pb), ss) == word
     assert delta_parabolic(pb, pb, ss) == ()
+    assert not any(q is ss.chamber for q in seconds)
     assert moved == lifts and len(lifts) == 4
 
 
@@ -275,9 +274,16 @@ def test_delta_parabolic_rejects_a_common_levi_off_the_nilradical(
     g = gl(3)
     ss = standard_simple_system(g)
     pc = opposite(ss.chamber, ss.xi)
-    real = building.compatible_lifts
-    monkeypatch.setattr(building, "compatible_lifts",
-                        lambda p, q: mutate(g, p, q, real(p, q)))
+    real = building.common_levi
+
+    def mutated(p, q):
+        # the mutated lifts with their joint centralizer, past
+        # common_levi's own checks: delta's has_levi checks must fire
+        xi_p, xi_q = mutate(g, p, q, real(p, q)[1:])
+        return (g.centralizer_element(xi_p).intersect(
+            g.centralizer_element(xi_q)), xi_p, xi_q)
+
+    monkeypatch.setattr(building, "common_levi", mutated)
     with pytest.raises(InternalCheckError, match="not a complement"):
         delta_parabolic(ss.chamber, pc, ss)
 

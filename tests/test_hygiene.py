@@ -104,16 +104,29 @@ def calls_of(node, name):
                  and n.func.attr == name)]
 
 
+def called_only_in(owner, name):
+    """(module, line) of every library call of ``name``, and of those
+    inside parabolic.py's function ``owner``."""
+    (fn,) = [n for path in MODULES if path.name == "parabolic.py"
+             for n in tree(path).body if isinstance(n, ast.FunctionDef)
+             and n.name == owner]
+    return ([(path.name, line) for path in MODULES
+             for line in calls_of(tree(path), name)],
+            [("parabolic.py", line) for line in calls_of(fn, name)])
+
+
 def test_parabolic_data_is_built_only_by_make_parabolic():
     # a ParabolicData's filtration trusts what is_parabolic proved, so
     # every one must come from make_parabolic
-    (make,) = [n for path in MODULES if path.name == "parabolic.py"
-               for n in tree(path).body if isinstance(n, ast.FunctionDef)
-               and n.name == "make_parabolic"]
-    built = [(path.name, line) for path in MODULES
-             for line in calls_of(tree(path), "ParabolicData")]
-    assert built == [("parabolic.py", line)
-                     for line in calls_of(make, "ParabolicData")] != []
+    built, inside = called_only_in("make_parabolic", "ParabolicData")
+    assert built == inside != []
+
+
+def test_centralizers_are_taken_only_by_common_levi():
+    # the joint centralizer of two grading lifts is formed once, by
+    # common_levi, which returns it with the lifts that define it
+    taken, inside = called_only_in("common_levi", "centralizer_element")
+    assert taken == inside != []
 
 
 def test_traced_names_resolve():

@@ -15,7 +15,6 @@ from liepar.catalog import (
 from liepar.errors import DomainError
 from liepar.parabolic import (
     common_levi,
-    compatible_lifts,
     conjugate_parabolic,
     grading_lift,
     is_costandard,
@@ -181,18 +180,18 @@ def test_common_levi_gl2():
     g, b = upper_borel(2)
     pd = make_parabolic(g, b)
     op = opposite(pd)
-    l = common_levi(pd, op)
+    l, xi_p, xi_q = common_levi(pd, op)
     assert l == span(g, [E(2, 0, 0), E(2, 1, 1)])
     assert pd.has_levi(l) and op.has_levi(l)
-    xi_p, xi_q = compatible_lifts(pd, op)
     assert vec_is_zero(g.bracket(xi_p, xi_q))
+    assert l.contains_vector(xi_p) and l.contains_vector(xi_q)
 
 
 def test_has_levi_rejects_non_complements():
     g = gl(3)
     pb = standard_borel(g)
     op = opposite(pb)
-    l = common_levi(pb, op)
+    l, _, _ = common_levi(pb, op)
     assert pb.has_levi(l) and op.has_levi(l)
     lv, nv = l.vectors(), pb.nilradical.vectors()
     for bad in (

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from liepar import rootdata
+from liepar import parabolic, rootdata
 from liepar.catalog import (
     all_standard_parabolics,
     gl,
@@ -200,21 +200,31 @@ def reference_type(ss, p, l):
 
 
 @pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2),
-                                  lambda: gl(4)],
-                         ids=["gl3", "so32", "gl4"])
+                                  lambda: gl(4), lambda: so(3, 3)],
+                         ids=["gl3", "so32", "gl4", "so33"])
 def test_type_of_any_matches_the_reference_transport(make, monkeypatch):
     g = make()
     ss = standard_simple_system(g)
     rd = ss.rd
-    # the reference takes the common Levi type_of_any computed
-    levis = []
-    real = rootdata.common_levi
+    # the reference takes the common Levi type_of_any computed; and
+    # type_of_any lifts only the base chamber and p, once each, because
+    # the lift of p that common_levi makes inside l is the one moved
+    # into ml
+    levis, lifted = [], []
+    real_levi, real_lift = rootdata.common_levi, parabolic.grading_lift
 
     def recording(p, q):
-        levis.append(real(p, q))
-        return levis[-1]
+        result = real_levi(p, q)
+        levis.append(result[0])
+        return result
+
+    def lifting(*args):
+        lifted.append(args[0])
+        return real_lift(*args)
 
     monkeypatch.setattr(rootdata, "common_levi", recording)
+    monkeypatch.setattr(parabolic, "grading_lift", lifting)
+    monkeypatch.setattr(rootdata, "grading_lift", lifting)
     # a principal nilpotent of the opposite Borel (the chamber holds
     # the negative roots): it moves every proper standard parabolic
     x = lincomb([1] * len(ss.simples),
@@ -223,7 +233,9 @@ def test_type_of_any_matches_the_reference_transport(make, monkeypatch):
     for J, q in all_standard_parabolics(g).items():
         conj = conjugate_parabolic(q, u)
         for p in (q, conj):
+            lifted.clear()
             t = type_of_any(ss, p)
+            assert lifted == [ss.chamber, p]
             assert t == reference_type(ss, p, levis[-1]) == J
         if J:
             assert not conj.space.contains(rd.levi)
@@ -239,6 +251,13 @@ def test_duality_involution():
     ss2 = standard_simple_system(g2)
     op2 = duality_involution(ss2)
     assert op2 == {s: s for s in ss2.simples}
+    # so(3,3) ≅ sl(4): D₃ = A₃, whose duality swaps the end nodes
+    # e₂ − e₃, e₂ + e₃ and fixes the middle one, e₁ − e₂
+    ss3 = standard_simple_system(so(3, 3))
+    e12, e23, e2p3 = ((Q(1), Q(-1), Q(0)), (Q(0), Q(1), Q(-1)),
+                      (Q(0), Q(1), Q(1)))
+    assert set(ss3.simples) == {e12, e23, e2p3}
+    assert duality_involution(ss3) == {e12: e12, e23: e2p3, e2p3: e23}
 
 
 def test_root_decomposition_rejects_non_toral():
@@ -370,7 +389,7 @@ def test_local_simple_system_checks_its_levi():
     g = gl(3)
     base = standard_simple_system(g)
     q = parabolic_from_subset(base, {base.simples[0]})
-    l = common_levi(q, opposite(q, q.grading_element))  # gl(2) + gl(1)
+    l, _, _ = common_levi(q, opposite(q, q.grading_element))  # gl(2) + gl(1)
     with pytest.raises(DomainError, match="common Levi not abelian"):
         local_simple_system(base, l, base.chamber)
     # the centre is abelian, but no Levi of the base chamber
