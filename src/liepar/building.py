@@ -438,7 +438,8 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss):
     Non-minimal input is a DomainError: p contains a minimal p₀,
     conjugate to base_ss.chamber, and nil(p) ⊆ nil(p₀), so equal
     nilradical dimensions give nil(p) = nil(p₀) and p = p₀ (each is the
-    perp of its nilradical).
+    perp of its nilradical).  δ(p, p) is the empty word, found without a
+    lift.
     """
     from .rootdata import apartment_word
 
@@ -446,6 +447,8 @@ def delta_parabolic(pb: ParabolicData, pc: ParabolicData, base_ss):
     nil_dim = base.nilradical.dim
     if pb.nilradical.dim != nil_dim or pc.nilradical.dim != nil_dim:
         raise DomainError("not a minimal parabolic")
+    if pb == pc:
+        return ()
     if pb == base:
         pb = base  # carries its filtration already
     l, xi_b, xi_c = common_levi(pb, pc)

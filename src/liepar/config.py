@@ -5,11 +5,10 @@ algebra, and their projection into Levi quotients.
 A standard configuration is realized by a witness (a point frame, or
 an isotropic frame of hyperbolic planes); projecting it through a
 center parabolic q restricts the model along the type map nu_q and
-pushes each element through parabolic projection.  The center's
-local simple system comes from rootdata.local_simple_system, over the
-base chamber itself for a standard center, and otherwise over the
-chamber that parabolic projection finds inside the center; the Levi
-quotient's roots are that system's roots, read through the projection.
+pushes each element through parabolic projection.  The Levi
+quotient's simple system and iota come from
+rootdata.quotient_simple_system, which reads them in the base
+apartment, so any center answers, on split and non-split forms alike.
 """
 
 from __future__ import annotations
@@ -31,20 +30,14 @@ from .catalog import (
 from .errors import DomainError, InternalCheckError
 from .parabolic import (
     ParabolicData,
-    common_levi,
     is_costandard,
     is_weakly_opposite,
-    make_parabolic,
     project,
 )
-from .ratmat import Matrix, Subspace, lincomb, solve
+from .ratmat import Subspace
 from .rootdata import (
-    base_types,
     duality_involution,
-    local_simple_system,
-    root_decomposition,
-    simple_system,
-    type_of,
+    quotient_simple_system,
     type_of_any,
 )
 
@@ -165,50 +158,8 @@ class _CenterStructures:
     def __init__(self, q: ParabolicData, base_ss):
         self.q = q
         self.base_ss = base_ss
-        pb = base_ss.chamber
-        lq = q.levi_quotient()
-        self.lq = lq
-        if q.space.contains(pb.space):
-            l, chamber = base_ss.rd.cartan, pb
-            pb0 = make_parabolic(lq.algebra, lq.project_space(pb.space))
-        else:
-            # the projection of the base chamber to q, and its image in
-            # the quotient: a chamber inside q that contains q ∩ pb ⊇ l
-            l = common_levi(q, pb)[0]
-            chamber, pb0 = project(q, pb)
-        ss_q = local_simple_system(base_ss, l, chamber)
-        # l ∩ nil(q) ⊆ l ∩ nil(chamber) = 0: a quotient root is a root
-        # of l read on the preimages in l of a0's canonical basis
-        a0 = lq.project_space(l)
-        lv = l.vectors()
-        onto = Matrix([lq.project_vector(h) for h in lv]).transpose()
-        pre = [lincomb(solve(onto, b)[0], lv, q.ambient.dim)
-               for b in a0.vectors()]
-        rd0 = root_decomposition(lq.algebra, a0, [
-            tuple(ss_q.rd.eval_root(a, h) for h in pre)
-            for a in ss_q.rd.roots])
-        self.ss0 = simple_system(rd0, pb0)
-        # local g-simples not crossed in q, matched to quotient simples
-        # by projecting their root spaces
-        t_local = type_of(ss_q, q)
-        iota_local = {}
-        for b in self.ss0.simples:
-            match = None
-            for a in ss_q.simples:
-                if a in t_local:
-                    continue
-                if lq.project_space(ss_q.rd.root_spaces[a]) == \
-                        rd0.root_spaces[b]:
-                    match = a
-                    break
-            if match is None:
-                raise InternalCheckError(
-                    "quotient simple with no matching root space"
-                )
-            iota_local[b] = match
-        local_label = base_types(ss_q, base_ss)
-        self.iota = {b: local_label[iota_local[b]]
-                     for b in self.ss0.simples}
+        self.lq = q.levi_quotient()
+        self.ss0, self.iota = quotient_simple_system(base_ss, q)
         op_g = duality_involution(base_ss)
         op_q0 = duality_involution(self.ss0)
         self.nu = {b: op_g[self.iota[op_q0[b]]]

@@ -8,9 +8,11 @@ involution, and normalization of an arbitrary parabolic into standard
 position (which makes types canonical).  Types and W-distances are read
 off grading elements moved into ml (levi_transport), in the base
 apartment (apartment_word).  Weyl words and standard positions both
-come from one descent by simple reflections (_descend).  A simple
-system over another Levi of the base chamber (local_simple_system)
-takes its candidate roots from the base roots through the same move.
+come from one descent by simple reflections (_descend).  A center's
+Levi quotient is read there too (quotient_simple_system): its roots
+are base roots through the same move, and the descent of the center's
+chamber labels its simples by base types, on split and non-split
+forms alike.
 
 Roots are represented by their value tuples on the canonical basis of
 the Cartan subspace.
@@ -45,7 +47,6 @@ __all__ = [
     "SimpleSystem",
     "root_decomposition",
     "simple_system",
-    "local_simple_system",
     "parabolic_from_subset",
     "type_of",
     "root_reflection",
@@ -54,7 +55,7 @@ __all__ = [
     "duality_involution",
     "standardize_type",
     "type_of_any",
-    "base_types",
+    "quotient_simple_system",
     "levi_transport",
 ]
 
@@ -291,38 +292,6 @@ def simple_system(rd: RootDatum, pb: ParabolicData) -> SimpleSystem:
     return SimpleSystem(rd, pb, xi, levels, simples, cw, fw)
 
 
-def local_simple_system(base_ss: SimpleSystem, l: Subspace,
-                        chamber: ParabolicData) -> SimpleSystem:
-    """Simple system of a chamber over the root datum of l, a Levi of
-    the base chamber pb₀ inside the chamber, as l = common_levi(q, pb₀)[0]
-    is: c(ξ_b) is a Levi of pb₀, ξ_q ∈ c(ξ_b) has real eigenvalues, so
-    it lies in the split part of c(ξ_b), central there, and l = c(ξ_b).
-
-    For u ∈ exp(ad nil(pb₀)) with u·l = ml, u carries the eigenspace of
-    a character β of l onto that of β ∘ u⁻¹, and u acts on l as
-    levi_transport: so the roots of l are the α ∘ levi_transport, α a
-    root of a, and l ≅ ml = a ⊕ m is split iff m = 0.  The base chamber
-    over its own Cartan is base_ss itself (l and ml both complement
-    nil(pb₀) and l, the Cartan, lies in ml, so l = ml)."""
-    if chamber == base_ss.chamber and l == base_ss.rd.cartan:
-        return base_ss
-    g = chamber.ambient
-    if g.bracket_spaces(l, l).dim != 0:
-        raise DomainError("common Levi not abelian; split part"
-                          " extraction not implemented for this case")
-    rd0 = base_ss.rd
-    if rd0.levi != rd0.cartan:
-        raise DomainError("Cartan subspace not split (ad not rationally"
-                          " diagonalizable)")
-    moved = [levi_transport(base_ss, l, h) for h in l.vectors()]
-    rd = root_decomposition(g, l, [
-        tuple(rd0.eval_root(a, h) for h in moved) for a in rd0.roots])
-    if rd.levi != l:
-        raise InternalCheckError("common Levi is not its own"
-                                 " centralizer's zero part")
-    return simple_system(rd, chamber)
-
-
 def parabolic_from_subset(ss: SimpleSystem, J) -> ParabolicData:
     """q_J = ml ⊕ ⊕_{α(ξ_J) ≤ 0} g_α with ξ_J = Σ_{α∈J} ξ^α."""
     J = frozenset(J)
@@ -529,32 +498,99 @@ def type_of_any(ss: SimpleSystem, p: ParabolicData):
     return standardize_type(ss, levi_transport(ss, l, xi), p.dim)
 
 
-def base_types(ss: SimpleSystem, base_ss: SimpleSystem) -> dict:
-    """{α: the base type of q^α} for each simple α of ss: the
-    adjoint-orbit type, relative to base_ss, of the maximal parabolic
-    that α alone crosses.
+def quotient_simple_system(ss: SimpleSystem, q: ParabolicData):
+    """(ss0, ι) for a center q, read in the base apartment of ss: ss0
+    is the simple system of the Levi quotient q0 at the image pb0 of
+    the chamber C ⊆ q that parabolic projection finds, and ι sends each
+    simple of ss0 to the base type of the maximal parabolic ⊇ C that
+    the matching simple of C alone crosses.
 
-    One common Levi l of ss.chamber and the base chamber serves every
-    α as in type_of_any(base_ss, q^α): q^α ⊇ ss.chamber ⊇ l, so q^α
-    has a grading lift in l.
+    C = pb ∩ q + nil(q) is the projection of the base chamber pb to q,
+    a chamber (the quotient recognizer and simple_system check its
+    image pb0), and C = pb when q ⊇ pb.  l is ml when q ⊇ pb, and
+    otherwise l = common_levi(q, pb)[0] ⊆ pb ∩ q ⊆ C.  levi_transport
+    checks that l is a Levi of pb and acts on l as the u ∈ exp(ad
+    nil(pb)) with u·l = ml; u fixes pb.
 
-    When ss is base_ss, each q^α contains base_ss.chamber ⊇ ml, so it
-    is in standard position already, and its type is {α}.
+    a_l = l ∩ (a + nil(pb)) is a split Cartan of l: for h ∈ l, u·h is
+    the ml-component of h in pb = ml ⊕ nil(pb), which lies in a iff h
+    ∈ a + nil(pb).  So a_l = u⁻¹·a, the image of a split Cartan under
+    an automorphism, and its roots are the α ∘ u for the roots α of a;
+    l need be neither abelian nor split.
+
+    The quotient roots: l ∩ nil(q) ⊆ l ∩ nil(C) = 0, so q → q0 maps a_l
+    onto a0 isomorphically, and on the preimages h_k ∈ a_l of a0's
+    canonical basis α ∘ u reads r(α) = (α(u·h_k))_k, one-to-one in α.
+    The roots of q0 at a0 are those of the Levi of q through l at a_l,
+    so they are among the r(α), which root_decomposition's fill check
+    certifies.
+
+    ι: the lift ξ_q of q that common_levi returns lies in l, and η =
+    u·ξ_q ∈ ml.  As in levi_transport, u·q = ml ⊕ ⊕_{α(η) ≤ 0} g_α with
+    nil(u·q) the part α(η) < 0, and u·pb = pb, so u·C = pb ∩ u·q +
+    nil(u·q) has the root set S = {α(η) < 0} ∪ {α ∈ Φ⁻ : α(η) = 0}.
+    The α(η) are integers and Φ⁻ = {α(ξ₀) < 0} for the grading element
+    ξ₀ of pb in a, so S = {α(nη + ξ₀) ≤ 0} for n above every |α(ξ₀)|.
+    _descend carries S to Φ⁻ by some w⁻¹, so S = w(Φ⁻) and the simples
+    of u·C are the w(α), α a base simple.  u·q contains u·C, so it is
+    standard for them, and the quotient's positive roots are those
+    outside pb0: its simples are the w(α) with w(α)(η) = 0, read
+    through r, and ι(r(w(α))) = α.  When q ⊇ pb, u = w = 1 and no lift
+    is made.
+
+    ι agrees with type_of_any(ss, q^β) for β = w(α) and q^β the
+    maximal parabolic ⊇ C that β alone crosses: u·q^β has the root set
+    w(S_α), S_α that of the standard q^α, and the descent in
+    standardize_type ends at the one standard root set in the W-orbit
+    of w(S_α), which is S_α, so the type is {α}.
+
+    For a standard center, a_l = a and r(α) is α read on the preimages
+    in a: ss0 is the simple system of the root datum of q0 at the image
+    of a, found at the same candidates, over the image of pb.
     """
-    if ss is base_ss:
-        return {a: a for a in ss.simples}
-    l = common_levi(ss.chamber, base_ss.chamber)[0]
-    out = {}
+    g, rd, pb = q.ambient, ss.rd, ss.chamber
+    lq = q.levi_quotient()
+    # C = pb ∩ q + nil(q), which is pb when q ⊇ pb
+    chamber = pb.space.intersect(q.space).sum(q.nilradical)
+    pb0 = make_parabolic(lq.algebra, lq.project_space(chamber))
+    standard = q.space.contains(pb.space)
+    if standard:
+        a_l, word = rd.cartan, []
+    else:
+        l, xi_q, _ = common_levi(q, pb)
+        eta = levi_transport(ss, l, xi_q)
+        n = 1 + max(abs(j) for j in ss.levels.values())
+        word, S = _descend(ss, _nonpositive_roots(
+            ss, lincomb((n, 1), (eta, ss.xi), g.dim), chamber.dim))
+        if S != ss.negative_roots():
+            raise InternalCheckError("chamber descent missed the base"
+                                     " chamber")
+        a_l = l.intersect(rd.cartan.sum(pb.nilradical))
+    a0 = lq.project_space(a_l)
+    if a0.dim != rd.cartan.dim:
+        raise InternalCheckError("split Cartan of the common Levi does not"
+                                 " map onto one of the Levi quotient")
+    av = a_l.vectors()
+    onto = Matrix([lq.project_vector(h) for h in av]).transpose()
+    pre = [lincomb(solve(onto, b)[0], av, g.dim) for b in a0.vectors()]
+    moved = pre if standard else [levi_transport(ss, l, h) for h in pre]
+
+    def restrict(alpha):
+        return tuple(rd.eval_root(alpha, h) for h in moved)
+
+    rd0 = root_decomposition(lq.algebra, a0, [restrict(a)
+                                              for a in rd.roots])
+    ss0 = simple_system(rd0, pb0)
+    local = {}
     for alpha in ss.simples:
-        q = parabolic_from_subset(ss, {alpha})
-        xi, _ = grading_lift(q, l)
-        t = standardize_type(base_ss, levi_transport(base_ss, l, xi),
-                             q.dim)
-        if len(t) != 1:
-            raise InternalCheckError("maximal parabolic with non-"
-                                     "singleton type")
-        (out[alpha],) = t
-    return out
+        beta = alpha
+        for i in reversed(word):
+            beta = ss.reflections[i][beta]
+        local[restrict(beta)] = alpha
+    if not local.keys() >= set(ss0.simples):
+        raise InternalCheckError("quotient simple that is no simple of"
+                                 " the center's chamber")
+    return ss0, {b: local[b] for b in ss0.simples}
 
 
 def duality_involution(ss: SimpleSystem) -> dict:

@@ -221,6 +221,43 @@ def test_config_custom_witness(tmp_path, capsys):
     assert out == report_json(incidence_report(proj)) + "\n"
 
 
+def test_config_witness_of_a_non_split_form(capsys):
+    from fractions import Fraction as Q
+
+    from liepar.catalog import (FlagSpec, entry, flag_stabilizer, so,
+                                standard_simple_system)
+    from liepar.config import center_structures, cross_configuration
+    from liepar.parabolic import is_weakly_opposite, project
+    from liepar.ratmat import Subspace
+    from liepar.rootdata import type_of_any
+
+    planes = [[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
+              [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]]
+    w = [1, 1, 1, -2, 1, 1]
+    spec = {"algebra": ["so", 4, 2], "planes": planes, "center": [w]}
+    code, out = run(capsys, ["config", json.dumps(spec)])
+    # the center misses the base chamber of so(4,2), whose minimal Levi
+    # is not split: the four frame planes project into the quotient
+    assert code == 0
+    assert out == ('{"elements":{"2":["{-1,-2}","{-1,2}","{1,-2}",'
+                   '"{1,2}"]},"incidence":{},"types":["2"]}\n')
+    # the type law, checked here outside project_configuration
+    g = so(4, 2)
+    ss = standard_simple_system(g)
+    q = flag_stabilizer(g, FlagSpec(6, [Subspace.from_vectors(
+        6, [list(map(Q, w))])], form=entry(g).form))
+    assert not q.space.contains(ss.chamber.space)
+    st = center_structures(q, ss)
+    kept = []
+    for e, p in cross_configuration(g, planes).targets.items():
+        t = type_of_any(ss, p)
+        if t <= st.nu_image() and is_weakly_opposite(p, q):
+            t0 = type_of_any(st.ss0, project(q, p)[1])
+            assert t0 and t0 == st.nu_preimage(t)
+            kept.append(e)
+    assert len(kept) == 4
+
+
 def test_stdin_algebra(capsys, monkeypatch):
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(json.dumps({"algebra": ["gl", 2]}))

@@ -1,5 +1,8 @@
 import json
 import os
+from fractions import Fraction as Q
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +25,8 @@ from liepar.config import (
     simplex_configuration,
 )
 from liepar.errors import DomainError
+from liepar.parabolic import conjugate_parabolic, opposite
+from liepar.ratmat import lincomb
 
 GOLDEN = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -104,6 +109,69 @@ def test_two_centers_over_one_base_compute_its_duality_once(monkeypatch):
     assert sum(s is ss for s in systems) == len(ss.simples)
     assert rootdata.duality_involution(ss) is rootdata.duality_involution(ss)
     assert first.nu_image() | second.nu_image() <= set(ss.simples)
+
+
+ALGEBRAS = {"gl3": lambda: gl(3), "so31": lambda: so(3, 1),
+            "so32": lambda: so(3, 2), "so42": lambda: so(4, 2),
+            "so52": lambda: so(5, 2), "so33": lambda: so(3, 3)}
+RANKS = {"gl3": 2, "so31": 1, "so32": 2, "so42": 2, "so52": 2, "so33": 3}
+# every proper standard center, as positions of its type in ss.simples
+CENTERS = [(name, J) for name, rank in RANKS.items()
+           for k in range(1, rank + 1)
+           for J in combinations(range(rank), k)]
+# nu and iota of the conjugated centers of the split forms as they were
+# computed over the local root datum of the center's chamber: quotient
+# simple (its values on the quotient Cartan's canonical basis) -> the
+# position of a base simple
+SPLIT = {
+    ("gl3", (0,)): ({"0 -1 -1": 0}, {"0 -1 -1": 1}),
+    ("gl3", (1,)): ({"1/2 1/2 0": 1}, {"1/2 1/2 0": 0}),
+    ("gl3", (0, 1)): ({}, {}),
+    ("so32", (0,)): ({"-1/2 -13/16": 1}, {"-1/2 -13/16": 1}),
+    ("so32", (1,)): ({"0 35/32": 0}, {"0 35/32": 0}),
+    ("so32", (0, 1)): ({}, {}),
+    ("so33", (0,)): ({"1/9 7/36 1/2": 0, "1/3 7/12 0": 2},
+                     {"1/9 7/36 1/2": 2, "1/3 7/12 0": 1}),
+    ("so33", (1,)): ({"1/3 -7/12 -7/6": 1, "1/3 7/12 0": 2},
+                     {"1/3 -7/12 -7/6": 2, "1/3 7/12 0": 0}),
+    ("so33", (2,)): ({"0 23/60 23/36": 1, "0 23/12 -23/36": 0},
+                     {"0 23/60 23/36": 0, "0 23/12 -23/36": 1}),
+    ("so33", (0, 1)): ({"7/3 49/12 0": 2}, {"7/3 49/12 0": 2}),
+    ("so33", (0, 2)): ({"0 245/36 -5/6": 0}, {"0 245/36 -5/6": 1}),
+    ("so33", (1, 2)): ({"0 161/348 7/174": 1}, {"0 161/348 7/174": 0}),
+    ("so33", (0, 1, 2)): ({}, {}),
+}
+
+
+@lru_cache(maxsize=None)
+def dense_conjugator(name):
+    """exp(ad x), x the sum of the opposite Borel's nilradical basis: it
+    moves every proper standard parabolic off the base chamber."""
+    g = ALGEBRAS[name]()
+    ss = standard_simple_system(g)
+    nil = opposite(ss.chamber, ss.xi).nilradical
+    return g.exp_ad(lincomb([1] * nil.dim, nil.vectors(), g.dim))
+
+
+@pytest.mark.parametrize("name,J", CENTERS,
+                         ids=["%s-%s" % (n, "".join(map(str, J)))
+                              for n, J in CENTERS])
+def test_conjugated_center_structures(name, J):
+    g = ALGEBRAS[name]()
+    ss = standard_simple_system(g)
+    q = standard_parabolic(g, [ss.simples[i] for i in J])
+    conj = conjugate_parabolic(q, dense_conjugator(name))
+    assert not conj.space.contains(ss.chamber.space)
+    st, moved = center_structures(q, ss), center_structures(conj, ss)
+    assert moved.nu_image() == st.nu_image()
+    assert set(moved.iota.values()) == set(st.iota.values())
+    if name in ("gl3", "so32", "so33"):
+        def read(table):
+            return {tuple(map(Q, b.split())): ss.simples[i]
+                    for b, i in table.items()}
+
+        nu, iota = SPLIT[name, J]
+        assert moved.nu == read(nu) and moved.iota == read(iota)
 
 
 def test_tetrahedron_counts():

@@ -15,9 +15,10 @@ TRACING = Path(liepar.__file__).parents[2] / "perfbench" / "tracing.py"
 # name -> the one module that may use it; the others go through its
 # public callers (rref / kernel / solve / Subspace for _rref_rows,
 # flag_stabilizer / frame_levi for _action_stabilizer, type_of_any /
-# base_types / local_simple_system / apartment_word for levi_transport,
+# quotient_simple_system / apartment_word for levi_transport,
 # induced_filtration for _check_compatibility, weyl_word /
-# standardize_type / apartment_word for _descend)
+# standardize_type / apartment_word / quotient_simple_system for
+# _descend)
 OWNER = {"_rref_rows": "ratmat.py", "_action_stabilizer": "catalog.py",
          "levi_transport": "rootdata.py",
          "_check_compatibility": "liealg.py", "_descend": "rootdata.py"}
@@ -127,6 +128,14 @@ def test_centralizers_are_taken_only_by_common_levi():
     # common_levi, which returns it with the lifts that define it
     taken, inside = called_only_in("common_levi", "centralizer_element")
     assert taken == inside != []
+
+
+def test_config_reads_centers_through_rootdata():
+    # a center's quotient simple system and iota come from
+    # rootdata.quotient_simple_system; config lifts nothing itself
+    module = tree(Path(liepar.__file__).parent / "config.py")
+    lines = calls_of(module, "grading_lift") + calls_of(module, "common_levi")
+    assert lines == [], "config.py: lifts at lines %s" % lines
 
 
 def test_traced_names_resolve():

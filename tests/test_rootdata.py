@@ -13,10 +13,10 @@ from liepar.catalog import (
 )
 from liepar.errors import DomainError, InternalCheckError
 from liepar.parabolic import (
-    common_levi,
     conjugate_parabolic,
     grading_lift,
     opposite,
+    project,
 )
 from liepar.ratmat import (
     Matrix,
@@ -28,10 +28,9 @@ from liepar.ratmat import (
 )
 from liepar.rootdata import (
     _descend,
-    base_types,
     duality_involution,
-    local_simple_system,
     parabolic_from_subset,
+    quotient_simple_system,
     root_decomposition,
     root_reflection,
     simple_system,
@@ -170,15 +169,14 @@ def test_type_of_any_matches_type_of():
         assert type_of_any(ss, pc) == frozenset({a})
 
 
-def reference_type(ss, p, l):
-    """The type as the transport computed it before, for l the common
-    Levi of p and the base chamber pb: u ∈ exp(ad nil(pb)) with
-    u·l = ml, from two grading lifts of pb and an iterative solve,
-    applied to p; then the root set of u·p, descended."""
+def reference_transport(ss, l_from, l_to):
+    """u ∈ exp(ad nil(pb)) with u·l_from = l_to, for two Levis of the
+    base chamber pb, from two grading lifts of pb and an iterative
+    solve, as the transport was computed before."""
     g = ss.rd.ambient
     pb = ss.chamber
-    xi_from, _ = grading_lift(pb, l)
-    xi_to, _ = grading_lift(pb, ss.rd.levi)
+    xi_from, _ = grading_lift(pb, l_from)
+    xi_to, _ = grading_lift(pb, l_to)
     # the two lifts may differ by a central element; drop it
     nb, zb = pb.nilradical.vectors(), g.center().vectors()
     if zb:
@@ -194,7 +192,16 @@ def reference_type(ss, p, l):
         u = g.exp_ad(lincomb(res[0], nb, g.dim)) * u
         cur = u.mulvec(xi_from)
     assert vec_is_zero(vec_sub(xi_to, cur))
-    _, S = _descend(ss, ss.rd.root_set_of(g.apply_auto(u, p.space)))
+    return u
+
+
+def reference_type(ss, p, l):
+    """The type as the transport computed it before, for l the common
+    Levi of p and the base chamber pb: the reference transport u with
+    u·l = ml applied to p; then the root set of u·p, descended."""
+    u = reference_transport(ss, l, ss.rd.levi)
+    _, S = _descend(ss, ss.rd.root_set_of(ss.rd.ambient.apply_auto(
+        u, p.space)))
     assert ss.negative_roots() <= S
     return frozenset(a for a in ss.simples if a not in S)
 
@@ -319,35 +326,6 @@ def conjugated_system(ss, u):
     return simple_system(rd, conjugate_parabolic(ss.chamber, u))
 
 
-@pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2)],
-                         ids=["gl3", "so32"])
-def test_base_types_matches_type_of_any_per_simple(make):
-    g = make()
-    base = standard_simple_system(g)
-    rd = base.rd
-    pos = sorted(base.positive_roots())
-    neg = sorted(base.negative_roots())
-    e, e2 = (rd.root_spaces[a].vectors()[0] for a in (pos[0], pos[-1]))
-    f = rd.root_spaces[neg[0]].vectors()[0]
-    systems = [
-        base,
-        simple_system(rd, opposite(base.chamber, base.xi)),
-        conjugated_system(base, g.exp_ad(e)),
-        conjugated_system(base, g.exp_ad(f) * g.exp_ad(e)),
-        # e - e2 lies in the nilradical of the opposite chamber
-        conjugated_system(base, g.exp_ad(lincomb((1, -1), (e, e2), g.dim))),
-    ]
-    assert base_types(base, base) == {a: a for a in base.simples}
-    for ss in systems:
-        # reference: one common Levi and transport per local simple
-        want = {}
-        for a in ss.simples:
-            (want[a],) = type_of_any(base, parabolic_from_subset(ss, {a}))
-        assert base_types(ss, base) == want
-    # the conjugates really leave the standard apartment
-    assert not systems[2].chamber.space.contains(rd.levi)
-
-
 def same_system(a, b):
     return (a.chamber == b.chamber and a.rd.cartan == b.rd.cartan
             and a.rd.levi == b.rd.levi and a.rd.roots == b.rd.roots
@@ -358,52 +336,122 @@ def same_system(a, b):
             and a.fundamental_weights == b.fundamental_weights)
 
 
-@pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2)],
-                         ids=["gl3", "so32"])
-def test_local_simple_system(make, monkeypatch):
+def reference_quotient(base, q, l):
+    """ss0 and ι as the local root datum gave them, for q's common
+    Levi l with the base chamber pb: over v·a, for v the reference
+    transport of ml onto l, the simple system of q's chamber C, the
+    projection of pb; the quotient's roots read on the image of v·a;
+    each quotient simple matched to the local simple whose root space
+    projects onto its own, and labelled by type_of_any of the maximal
+    parabolic that this local simple alone crosses."""
+    g, rd = q.ambient, base.rd
+    lq = q.levi_quotient()
+    chamber, pb0 = project(q, base.chamber)
+    a_v, roots = transported(rd, reference_transport(base, rd.levi, l))
+    local = simple_system(root_decomposition(g, a_v, roots), chamber)
+    a0 = lq.project_space(a_v)
+    av = a_v.vectors()
+    onto = Matrix([lq.project_vector(h) for h in av]).transpose()
+    pre = [lincomb(solve(onto, b)[0], av, g.dim) for b in a0.vectors()]
+    rd0 = root_decomposition(lq.algebra, a0, [
+        tuple(local.rd.eval_root(a, h) for h in pre) for a in local.rd.roots])
+    ss0 = simple_system(rd0, pb0)
+    iota = {}
+    for b in ss0.simples:
+        (beta,) = [a for a in local.simples
+                   if q.space.contains(local.rd.root_spaces[a])
+                   and lq.project_space(local.rd.root_spaces[a])
+                   == rd0.root_spaces[b]]
+        (iota[b],) = type_of_any(base, parabolic_from_subset(local, {beta}))
+    return ss0, iota
+
+
+@pytest.mark.parametrize("make", [lambda: gl(3), lambda: so(3, 2),
+                                  lambda: so(3, 1), lambda: so(4, 2),
+                                  lambda: so(5, 2)],
+                         ids=["gl3", "so32", "so31", "so42", "so52"])
+def test_quotient_simple_system_labels_as_type_of_any(make, monkeypatch):
     g = make()
     base = standard_simple_system(g)
     rd = base.rd
-    # f lies in nil(pb₀), so u·a is a Levi of pb₀ that is not ml
-    f = rd.root_spaces[sorted(base.negative_roots())[0]].vectors()[0]
-    u = g.exp_ad(f)
-    l = g.apply_auto(u, rd.cartan)
-    chamber = conjugate_parabolic(opposite(base.chamber, base.xi), u)
-    assert not chamber.space.contains(rd.levi)
-    # the root datum of l at the roots of a moved by u
-    _, roots = transported(rd, u)
-    assert same_system(local_simple_system(base, l, chamber),
-                       simple_system(root_decomposition(g, l, roots),
-                                     chamber))
+    # the dense conjugate of a maximal standard center: it leaves the
+    # standard apartment (every conjugated center is run in test_config)
+    centers = [conjugate_parabolic(parabolic_from_subset(
+        base, {base.simples[0]}), dense_conjugator(base))]
+    assert not centers[0].space.contains(rd.levi)
+    if rd.levi == rd.cartan:
+        pos = sorted(base.positive_roots())
+        neg = sorted(base.negative_roots())
+        e, e2 = (rd.root_spaces[a].vectors()[0] for a in (pos[0], pos[-1]))
+        f = rd.root_spaces[neg[0]].vectors()[0]
+        systems = [
+            base,
+            simple_system(rd, opposite(base.chamber, base.xi)),
+            conjugated_system(base, g.exp_ad(e)),
+            conjugated_system(base, g.exp_ad(f) * g.exp_ad(e)),
+            # e - e2 lies in the nilradical of the opposite chamber
+            conjugated_system(base, g.exp_ad(lincomb((1, -1), (e, e2),
+                                                     g.dim))),
+        ]
+        centers += [parabolic_from_subset(ss, {a}) for ss in systems
+                    for a in ss.simples]
+    # the reference takes the common Levi the function found, ml for a
+    # standard center
+    found = {}
+    real_levi = rootdata.common_levi
 
-    def rebuilt(*args):
-        raise AssertionError("base simple system rebuilt")
+    def levi(p, q):
+        found["l"], xi_p, xi_q = real_levi(p, q)
+        return found["l"], xi_p, xi_q
 
-    # the base chamber over its own Cartan is the base system itself
-    monkeypatch.setattr("liepar.rootdata.root_decomposition", rebuilt)
-    monkeypatch.setattr("liepar.rootdata.simple_system", rebuilt)
-    assert local_simple_system(base, rd.cartan, base.chamber) is base
+    monkeypatch.setattr(rootdata, "common_levi", levi)
+    for q in centers:
+        found["l"] = rd.levi
+        ss0, iota = quotient_simple_system(base, q)
+        want_ss0, want_iota = reference_quotient(base, q, found["l"])
+        assert same_system(ss0, want_ss0)
+        assert iota == want_iota
 
 
-def test_local_simple_system_checks_its_levi():
+def test_quotient_simple_system_of_a_standard_center_lifts_nothing(
+        monkeypatch):
+    lifted = []
+    real_lift = parabolic.grading_lift
+
+    def lifting(*args):
+        lifted.append(args[0])
+        return real_lift(*args)
+
+    def no_levi(*args):
+        raise AssertionError("common Levi formed for a standard center")
+
+    monkeypatch.setattr(rootdata, "common_levi", no_levi)
+    monkeypatch.setattr(parabolic, "grading_lift", lifting)
+    monkeypatch.setattr(rootdata, "grading_lift", lifting)
+    for g in (gl(3), so(4, 2)):
+        base = standard_simple_system(g)
+        for J, q in all_standard_parabolics(g).items():
+            lifted.clear()
+            ss0, iota = quotient_simple_system(base, q)
+            # the one lift is simple_system's, of the quotient's chamber
+            assert lifted == [ss0.chamber]
+            assert set(iota.values()) == set(base.simples) - J
+
+
+def test_quotient_simple_system_checks_its_levi(monkeypatch):
     g = gl(3)
     base = standard_simple_system(g)
-    q = parabolic_from_subset(base, {base.simples[0]})
-    l, _, _ = common_levi(q, opposite(q, q.grading_element))  # gl(2) + gl(1)
-    with pytest.raises(DomainError, match="common Levi not abelian"):
-        local_simple_system(base, l, base.chamber)
-    # the centre is abelian, but no Levi of the base chamber
-    with pytest.raises(InternalCheckError, match="wrong dimension"):
-        local_simple_system(base, g.center(), base.chamber)
+    q = conjugate_parabolic(parabolic_from_subset(base, {base.simples[0]}),
+                            dense_conjugator(base))
+    real = rootdata.common_levi
     # u·a, for u = exp(ad e) with e outside pb₀, leaves the base chamber
     e = base.rd.root_spaces[base.simples[0]].vectors()[0]
-    u = g.exp_ad(e)
-    with pytest.raises(InternalCheckError, match="not a complement"):
-        local_simple_system(base, g.apply_auto(u, base.rd.cartan),
-                            conjugate_parabolic(base.chamber, u))
-    # in so(3,1), ml = a + so(2) is abelian but not split
-    g31 = so(3, 1)
-    base31 = standard_simple_system(g31)
-    with pytest.raises(DomainError, match="not split"):
-        local_simple_system(base31, base31.rd.levi,
-                            opposite(base31.chamber, base31.xi))
+    for levi, message in [(g.center(), "wrong dimension"),
+                          (g.apply_auto(g.exp_ad(e), base.rd.levi),
+                           "not a complement")]:
+        def mutated(p, pb):
+            return (levi,) + real(p, pb)[1:]
+
+        monkeypatch.setattr(rootdata, "common_levi", mutated)
+        with pytest.raises(InternalCheckError, match=message):
+            quotient_simple_system(base, q)
