@@ -181,8 +181,7 @@ def center_structures(q: ParabolicData, base_ss=None) -> _CenterStructures:
     return _CenterStructures(q, base_ss)
 
 
-def project_configuration(q: ParabolicData, c: Configuration,
-                          base_ss=None) -> Configuration:
+def project_configuration(q: ParabolicData, c: Configuration) -> Configuration:
     """Restrict the configuration along nu_q and project elementwise
     into the Levi quotient of q.
 
@@ -191,14 +190,13 @@ def project_configuration(q: ParabolicData, c: Configuration,
     is verified to be an incidence morphism and to obey the type law
     (quotient type = nu_q-preimage of the source type).
     """
-    st = center_structures(q, base_ss)
-    base_ss = st.base_ss
+    st = center_structures(q)
     image = st.nu_image()
     kept = []
     violators = []
     types_of = {}
     for e in c.source.elements():
-        t = type_of_any(base_ss, c.targets[e])
+        t = type_of_any(st.base_ss, c.targets[e])
         types_of[e] = t
         if not t or not t <= image:
             continue

@@ -5,6 +5,7 @@ induced filtrations, trace forms, terminating exponentials, and quotient
 algebras.  An algebra may carry a faithful matrix realization; its
 trace form then serves as the invariant form used for perps.  No
 eigenvalue is searched for: eigenspaces are kernels at known values.
+Every bracket containment [s, t] ⊆ u is one test, ``brackets_into``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .ratmat import (
     Q,
     Subspace,
     _frac_row,
+    _matrix,
     kernel,
     lincomb,
     rref,
@@ -32,30 +34,17 @@ __all__ = ["LieAlgebra", "Filtration", "minimal_polynomial"]
 def minimal_polynomial(m: Matrix):
     """Monic minimal polynomial of m (low-to-high coefficient list).
 
-    It is the annihilator of I under X ↦ X·m, since a polynomial p acts
-    on I as p(m): one Krylov echelon of the flattened powers I, m, m²,
-    …, each tagged with the polynomial producing it, until a power
-    reduces to zero.  No library code calls it: eigenvalues are known
-    where they are needed, and perfbench's tracer names it."""
-    basis = []  # (nonzeros of a reduced flat power, poly, pivot)
-    power = Matrix.identity(m.rows)
+    Its degree is the first k with I, m, …, m^k dependent: the kernel
+    of those flattened powers as columns is then a line, with a nonzero
+    last entry as the earlier powers are independent.  No library code
+    calls it; perfbench's tracer names it."""
+    power, powers = Matrix.identity(m.rows), []
     while True:
-        w = list(_flat(power))
-        q = [Q(0)] * len(basis) + [Q(1)]  # t^k for power = m^k
-        for bv, bp, piv in basis:
-            f = w[piv]
-            if f:
-                for i, b in bv:
-                    w[i] -= f * b
-                for i, c in enumerate(bp):
-                    q[i] -= f * c
-        if not any(w):
-            # the basis polys have degree < k, so q is monic
-            return q
-        piv = next(i for i, x in enumerate(w) if x)
-        inv = 1 / w[piv]
-        basis.append(([(i, x * inv) for i, x in enumerate(w) if x],
-                      [c * inv for c in q], piv))
+        powers.append(_flat(power))
+        line = kernel(_matrix(tuple(zip(*powers)), m.rows ** 2,
+                              len(powers))).vectors()
+        if line:
+            return [c / line[0][-1] for c in line[0]]
         power = power * m
 
 
@@ -117,11 +106,12 @@ def _check_compatibility(g: LieAlgebra, f: Filtration):
     - if the target level is all of g, it contains every bracket, and so
       does every target f^(i+j') ⊇ f^(i+j) with j' ≥ j.
 
-    A tested pair brackets only its adapted pieces: it holds iff
-    [W_i, W_j] ⊆ f^(i+j), with W the adapted basis.  Proof: take the
-    pairs in the loop's order, i then j, and suppose every earlier pair
-    holds (it was tested, or skipped as above).  f^i = W_i + f^(i-1) for
-    i > min and f^min = W_min, likewise for j, so by bilinearity
+    A tested pair brackets only its adapted pieces (``brackets_into``):
+    it holds iff [W_i, W_j] ⊆ f^(i+j), with W the adapted basis.
+    Proof: take the pairs in the loop's order, i then j, and suppose
+    every earlier pair holds (it was tested, or skipped as above).
+    f^i = W_i + f^(i-1) for i > min and f^min = W_min, likewise for j,
+    so by bilinearity
     [f^i, f^j] ⊆ [W_i, W_j] + [f^(i-1), f^j] + [f^i, f^(j-1)], the last
     two terms present only when i > min, resp. j > min.  The pair
     (i-1, j) comes earlier and gives [f^(i-1), f^j] ⊆ f^(i+j-1); the
@@ -130,25 +120,20 @@ def _check_compatibility(g: LieAlgebra, f: Filtration):
     f^(i+j-1) ⊆ f^(i+j).  Hence (i, j) holds iff [W_i, W_j] ⊆ f^(i+j),
     and conversely [W_i, W_j] ⊆ [f^i, f^j].  So the first failing pair
     named is that of the full pairwise predicate, not of a weaker
-    certificate.  On the diagonal [u, v] = -[v, u] and [u, u] = 0, so
-    only u before v in W_i is bracketed.  The W_j are independent, so
-    Σ dim W_j ≤ dim g = n, and the whole check makes at most n(n-1)/2
-    brackets, one per unordered pair of distinct adapted vectors.
+    certificate.  The W_j are independent, so Σ dim W_j ≤ dim g = n,
+    and the whole check makes at most n(n-1)/2 brackets, one per
+    unordered pair of distinct adapted vectors.
     """
     adapted = f.adapted_basis()
     for i in f.indices():
         fi = f.level(i)
         if fi.dim == 0:
             continue
-        wi = adapted[i].vectors()
         for j in range(i, f.max_index + 1):
             fj, target = f.level(j), f.level(i + j)
             if target.dim == g.dim:
                 break
-            pairs = (combinations(wi, 2) if j == i
-                     else product(wi, adapted[j].vectors()))
-            if not all(target.contains_vector(g.bracket(u, v))
-                       for u, v in pairs):
+            if not g.brackets_into(adapted[i], adapted[j], target):
                 raise InternalCheckError(
                     "filtration compatibility fails at (i, j) = (%d, %d):"
                     " [f^i, f^j] not in f^(i+j); dim f^i = %d,"
@@ -341,8 +326,22 @@ class LieAlgebra:
                 vecs.append(self.bracket(u, v))
         return Subspace.from_vectors(self.dim, vecs)
 
+    def brackets_into(self, s: Subspace, t: Subspace,
+                      target: Subspace) -> bool:
+        """True iff [s, t] ⊆ target, tested on basis pairs and stopped at
+        the first bracket outside target.
+
+        [s, t] is spanned by the brackets [u, v] of basis vectors u of s
+        and v of t (bilinearity), and target is a subspace, so it holds
+        iff each of them lies in target.  When s = t, [v, u] = -[u, v]
+        and [u, u] = 0, so the unordered pairs u before v suffice."""
+        us = s.vectors()
+        pairs = combinations(us, 2) if s == t else product(us, t.vectors())
+        return all(target.contains_vector(self.bracket(u, v))
+                   for u, v in pairs)
+
     def is_subalgebra(self, s: Subspace) -> bool:
-        return s.contains(self.bracket_spaces(s, s))
+        return self.brackets_into(s, s, s)
 
     # -- transporters --------------------------------------------------------
 
@@ -486,18 +485,18 @@ class LieAlgebra:
         Returns (sub_algebra, to_sub, to_ambient) where to_sub maps
         ambient coordinate vectors of elements of the subalgebra to
         subalgebra coordinates and to_ambient is the inverse inclusion.
+        Each unordered basis pair is bracketed once; its coordinates test
+        closure too, and DomainError names a pair leaving the space.
         """
-        if not self.is_subalgebra(space):
-            raise DomainError("not a subalgebra")
         basis = space.vectors()
         d = len(basis)
 
         def sub_coords(i, j):
             cs = space.coordinates_of(self.bracket(basis[i], basis[j]))
             if cs is None:
-                raise InternalCheckError(
-                    "restrict: bracket of basis vectors %d, %d leaves the"
-                    " subalgebra" % (i, j))
+                raise DomainError(
+                    "not a subalgebra: the bracket of basis vectors %d, %d"
+                    " leaves the space" % (i, j))
             return cs
 
         structure = _antisymmetric_fill(d, sub_coords)
@@ -524,9 +523,7 @@ class LieAlgebra:
         vectors to quotient coordinates and section a list of ambient
         coordinate vectors representing the quotient basis.
         """
-        if not ideal.contains(
-            self.bracket_spaces(Subspace.full(self.dim), ideal)
-        ):
+        if not self.brackets_into(Subspace.full(self.dim), ideal, ideal):
             raise DomainError("not an ideal")
         pivset = set(ideal._pivots)
         comp = [k for k in range(self.dim) if k not in pivset]

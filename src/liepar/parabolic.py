@@ -72,8 +72,7 @@ def is_parabolic(g: LieAlgebra, p: Subspace):
     c4 = p.contains(pp) and norm_p == p
     c5 = g.normalizer(nil_ideal) == p
     series = None
-    if (p.contains(pp) and pp == nil_ideal
-            and pp.contains(g.bracket_spaces(p, pp))):
+    if p.contains(pp) and pp == nil_ideal and g.brackets_into(p, pp, pp):
         # [pp, pp] ⊆ [p, pp] ⊆ pp: pp is a subalgebra
         series = g.lower_central_series(pp)
     c6 = series is not None and series[-1].dim == 0

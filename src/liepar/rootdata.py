@@ -147,7 +147,7 @@ def root_decomposition(g: LieAlgebra, a: Subspace, candidates) -> RootDatum:
     Eigenspaces of distinct characters are independent, so the kernels
     fill g iff no root is missing from the candidates; the fill check
     certifies the list, and a short one is an InternalCheckError."""
-    if g.bracket_spaces(a, a).dim != 0:
+    if not g.brackets_into(a, a, Subspace.zero(g.dim)):
         raise DomainError("Cartan subspace not abelian")
     ads = [g.ad(h).data for h in a.vectors()]
     zero = (Q(0),) * a.dim

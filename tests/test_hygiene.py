@@ -116,6 +116,27 @@ def called_only_in(owner, name):
             [("parabolic.py", line) for line in calls_of(fn, name)])
 
 
+def is_bracket_span(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "bracket_spaces")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_bracket_containment_only_through_brackets_into(path):
+    # [s, t] ⊆ u is asked of LieAlgebra.brackets_into, which stops at the
+    # first bracket outside u; spanning every bracket only to test
+    # containment or a dimension asks it a second way
+    lines = [n.lineno for n in ast.walk(tree(path))
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr == "contains"
+             and any(is_bracket_span(a) for a in n.args)
+             or isinstance(n, ast.Attribute) and n.attr == "dim"
+             and is_bracket_span(n.value)]
+    assert lines == [], "%s: bracket-span containment at lines %s" % (
+        path.name, lines)
+
+
 def test_parabolic_data_is_built_only_by_make_parabolic():
     # a ParabolicData's filtration trusts what is_parabolic proved, so
     # every one must come from make_parabolic

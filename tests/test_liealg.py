@@ -412,6 +412,41 @@ def test_quotient_algebra():
     ab, _, _ = sub.quotient_algebra(ideal)
     assert ab.dim == 2
     assert ab.derived_algebra().dim == 0
+    # [E21, E12] = E22 - E11 leaves span{E12}
+    with pytest.raises(DomainError, match="not an ideal"):
+        g.quotient_algebra(span(g, [E(2, 0, 1)]))
+
+
+def test_restrict_refuses_a_non_subalgebra_naming_the_pair():
+    # [e, f] = h leaves the span of e and f
+    g = gl(2)
+    ef = span(g, [E(2, 0, 1), E(2, 1, 0)])
+    assert not g.is_subalgebra(ef)
+    with pytest.raises(DomainError,
+                       match="not a subalgebra: .* basis vectors 0, 1 "):
+        g.restrict(ef)
+
+
+def test_restrict_brackets_each_unordered_pair_once(monkeypatch):
+    # the coordinates of each bracket also test closure, so the standard
+    # Borel of gl(3) costs d(d-1)/2 brackets, not d^2 more for a span
+    g = gl(3)
+    borel = standard_borel(g).space
+    d = borel.dim
+    calls = [0]
+    orig = LieAlgebra.bracket
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return orig(self, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    sub, to_sub, to_ambient = g.restrict(borel)
+    assert calls[0] == d * (d - 1) // 2 == 15
+    monkeypatch.undo()
+    sub._validate()
+    u, v = borel.vectors()[:2]
+    assert to_ambient(sub.bracket(to_sub(u), to_sub(v))) == g.bracket(u, v)
 
 
 def test_cartan_criterion_for_catalog_form():

@@ -78,12 +78,21 @@ def test_exp_ad_is_automorphism(x, i, j):
     assert tuple(lhs) == tuple(rhs)
 
 
-@given(subspaces(9), subspaces(9))
+@given(subspaces(9), subspaces(9), subspaces(9))
 @settings(max_examples=20, deadline=None)
-def test_transporter_brackets_into_target(a, b):
+def test_transporter_brackets_into_target(a, b, c):
+    # brackets_into answers [s, t] ⊆ target as the span form does, on
+    # true targets (the span itself) and mostly false ones (b, c, 0),
+    # with s passed as t and as an equal copy of t
     g = gl(3)
     t = g.transporter(a, b)
     assert b.contains(g.bracket_spaces(t, a))
+    assert g.brackets_into(t, a, b)
+    c_copy = Subspace.from_vectors(9, c.vectors())
+    for s, u in ((t, a), (a, c), (a, a), (c, c_copy)):
+        span = g.bracket_spaces(s, u)
+        for target in (span, b, c, g.zero_space()):
+            assert g.brackets_into(s, u, target) == target.contains(span)
 
 
 @given(subspaces(9))
